@@ -20,6 +20,10 @@ cargo test -q --workspace
 echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption)"
 ./target/release/moesi-sim faults --seed 7 --steps 800
 
+echo "==> oracle at scale (--check on 16 flat CPUs and a 16x4 tree; a violation panics)"
+./target/release/moesi-sim --protocol moesi --cpus 16 --steps 2000 --check >/dev/null
+./target/release/moesi-sim --clusters 16x4 --steps 2000 --check >/dev/null
+
 echo "==> hierarchy fault smoke (fixed seed, >=1000 faults; exits nonzero on silent corruption)"
 hier_j2="$(mktemp)" hier_j1="$(mktemp)"
 ./target/release/moesi-sim faults --hierarchy --seed 7 --jobs 2 --json --out "$hier_j2" \

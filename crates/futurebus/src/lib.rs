@@ -55,7 +55,7 @@ pub mod wire;
 pub use arbitration::{Arbiter, Discipline, FcfsArbiter, PriorityArbiter, RoundRobinArbiter};
 pub use bus::{Futurebus, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultRecord, InjectedFault};
-pub use memory::SparseMemory;
+pub use memory::{LineHasher, SparseMemory};
 pub use module::{BusModule, BusObservation, PushWrite, RetireReport};
 pub use observe::{
     ChromeTraceWriter, LatencyHistogram, LivenessMonitor, MasterProgress, PhaseHistograms,

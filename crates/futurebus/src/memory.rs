@@ -16,9 +16,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// the table probe itself; a Fibonacci multiply with an avalanche shift is
 /// plenty for keys that differ only in their upper (line-number) bits.
 /// Iteration order is never observable — deterministic consumers go through
-/// [`SparseMemory::line_addrs`], which sorts.
+/// [`SparseMemory::line_addrs`], which sorts. Public for other line-keyed
+/// maps (the consistency oracle's golden image).
 #[derive(Clone, Copy, Debug, Default)]
-struct LineHasher(u64);
+pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn finish(&self) -> u64 {
@@ -117,10 +118,17 @@ impl SparseMemory {
     /// Peeks at a line without counting a memory access (for checkers).
     #[must_use]
     pub fn peek_line(&self, addr: LineAddr) -> Box<[u8]> {
-        match self.lines.get(&self.align(addr)) {
-            Some(line) => line.clone(),
+        match self.peek_line_ref(addr) {
+            Some(line) => line.into(),
             None => vec![0; self.line_size].into_boxed_slice(),
         }
+    }
+
+    /// Borrows a line without counting a memory access or copying it;
+    /// `None` for a line never written, which reads as zero.
+    #[must_use]
+    pub fn peek_line_ref(&self, addr: LineAddr) -> Option<&[u8]> {
+        self.lines.get(&self.align(addr)).map(|line| &line[..])
     }
 
     /// Overwrites a full line (a push / write-back).

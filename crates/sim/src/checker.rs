@@ -17,11 +17,17 @@
 //!    golden data (memory is the default owner).
 //! 5. **Exclusive-clean** — an E copy matches main memory ("exclusive data
 //!    must match the copy in main memory").
+//!
+//! Every invariant is a statement about one line, so the oracle can check
+//! lines one at a time. [`Checker::verify`] sweeps every line;
+//! [`Checker::verify_lines`] checks a chosen set, which is how the machines
+//! audit each access: only the lines it touched can have changed.
 
-use futurebus::SparseMemory;
+use futurebus::{LineHasher, SparseMemory};
 use moesi::LineState;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 use crate::controller::CacheController;
 
@@ -123,7 +129,9 @@ impl std::error::Error for Violation {}
 #[derive(Clone, Debug)]
 pub struct Checker {
     line_size: usize,
-    golden: HashMap<u64, Box<[u8]>>,
+    golden: HashMap<u64, Box<[u8]>, BuildHasherDefault<LineHasher>>,
+    /// The golden value of every line never written.
+    zero: Box<[u8]>,
     /// Whether invariant 5 (E matches memory) is enforced. It holds for every
     /// class member, but the adapted Write-Once protocol's E state is entered
     /// by a write-through whose memory update can be captured by an owner in
@@ -138,7 +146,8 @@ impl Checker {
     pub fn new(line_size: usize) -> Self {
         Checker {
             line_size,
-            golden: HashMap::new(),
+            golden: HashMap::default(),
+            zero: vec![0; line_size].into_boxed_slice(),
             check_exclusive_clean: true,
         }
     }
@@ -159,6 +168,12 @@ impl Checker {
         entry[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
 
+    /// The golden image of the line at line-aligned address `line`.
+    #[must_use]
+    pub fn golden_line(&self, line: u64) -> &[u8] {
+        self.golden.get(&line).map_or(&self.zero, |data| data)
+    }
+
     /// The golden bytes at `addr`; the range may span any number of lines.
     #[must_use]
     pub fn golden_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
@@ -169,10 +184,7 @@ impl Checker {
             let line = cur & !(self.line_size as u64 - 1);
             let offset = (cur - line) as usize;
             let take = (self.line_size - offset).min(remaining);
-            match self.golden.get(&line) {
-                Some(data) => out.extend_from_slice(&data[offset..offset + take]),
-                None => out.extend(std::iter::repeat_n(0, take)),
-            }
+            out.extend_from_slice(&self.golden_line(line)[offset..offset + take]);
             cur += take as u64;
             remaining -= take;
         }
@@ -198,11 +210,12 @@ impl Checker {
         }
     }
 
-    /// Verifies all structural invariants over the caches and memory.
+    /// Verifies all structural invariants over the caches and memory: a
+    /// full sweep of every line cached anywhere or holding a golden value.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found, lines taken in ascending order.
     pub fn verify(
         &self,
         controllers: &[CacheController],
@@ -215,76 +228,126 @@ impl Checker {
                 lines.extend(cache.iter().map(|(addr, _)| addr));
             }
         }
+        self.verify_lines(controllers, memory, lines)
+    }
 
-        for addr in lines {
-            let golden = self.golden_bytes(addr, self.line_size);
-            let mut owners: Vec<&CacheController> = Vec::new();
-            let mut holders: Vec<(&CacheController, LineState)> = Vec::new();
-            for ctrl in controllers {
-                let state = ctrl.state_of(addr);
-                if state.is_valid() {
-                    holders.push((ctrl, state));
-                    if state.is_owned() {
-                        owners.push(ctrl);
-                    }
-                }
+    /// Verifies the structural invariants of `lines` only, in the order
+    /// given. Every invariant concerns a single line, so when all other
+    /// lines are known to hold (they did after the previous access, and
+    /// nothing has touched them since), checking the touched lines in
+    /// ascending order reports exactly what [`Checker::verify`] would.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found.
+    pub fn verify_lines(
+        &self,
+        controllers: &[CacheController],
+        memory: &SparseMemory,
+        lines: impl IntoIterator<Item = u64>,
+    ) -> Result<(), Violation> {
+        lines
+            .into_iter()
+            .try_for_each(|addr| self.verify_line(controllers, memory, addr))
+    }
+
+    fn verify_line(
+        &self,
+        controllers: &[CacheController],
+        memory: &SparseMemory,
+        addr: u64,
+    ) -> Result<(), Violation> {
+        let golden = self.golden_line(addr);
+        // One pass over the caches; the violations are then reported in the
+        // fixed order below, and only a violation pays for names.
+        let mut owners = 0;
+        let mut holders = 0;
+        let mut exclusive = None;
+        let mut clean_exclusive = None;
+        let mut stale = None;
+        for ctrl in controllers {
+            let Some(entry) = ctrl.cache().and_then(|c| c.lookup(addr)) else {
+                continue;
+            };
+            let state = entry.state;
+            if !state.is_valid() {
+                continue;
             }
-
-            // 1. Unique ownership.
-            if owners.len() > 1 {
-                return Err(Violation::MultipleOwners {
-                    addr,
-                    owners: owners.iter().map(|c| c.name().to_string()).collect(),
-                });
+            holders += 1;
+            owners += usize::from(state.is_owned());
+            if state.is_exclusive() && exclusive.is_none() {
+                exclusive = Some(ctrl);
             }
-
-            // 2. Exclusivity.
-            if let Some((excl, _)) = holders.iter().find(|(_, s)| s.is_exclusive()) {
-                if let Some((other, _)) = holders.iter().find(|(c, _)| c.id() != excl.id()) {
-                    return Err(Violation::ExclusivityViolated {
-                        addr,
-                        exclusive_holder: excl.name().to_string(),
-                        other_holder: other.name().to_string(),
-                    });
-                }
+            if state == LineState::Exclusive && clean_exclusive.is_none() {
+                clean_exclusive = Some(ctrl);
             }
-
-            // 3. Every valid copy equals the golden image.
-            for (ctrl, state) in &holders {
-                let cached = ctrl
-                    .cache()
-                    .and_then(|c| c.lookup(addr))
-                    .expect("holder has the line");
-                if cached.data[..] != golden[..] {
-                    return Err(Violation::StaleCopy {
-                        addr,
-                        holder: ctrl.name().to_string(),
-                        state: *state,
-                    });
-                }
-            }
-
-            let mem_line = memory.peek_line(addr);
-
-            // 5. Exclusive-unmodified copies match memory (checked before the
-            // default-owner rule so the more specific violation is reported).
-            if self.check_exclusive_clean {
-                for (ctrl, state) in &holders {
-                    if *state == LineState::Exclusive && mem_line[..] != golden[..] {
-                        return Err(Violation::ExclusiveUnmodifiedDiffers {
-                            addr,
-                            holder: ctrl.name().to_string(),
-                        });
-                    }
-                }
-            }
-
-            // 4. Memory is the default owner.
-            if owners.is_empty() && mem_line[..] != golden[..] {
-                return Err(Violation::StaleMemory { addr });
+            if stale.is_none() && entry.data[..] != golden[..] {
+                stale = Some((ctrl, state));
             }
         }
+
+        // 1. Unique ownership.
+        if owners > 1 {
+            return Err(Violation::MultipleOwners {
+                addr,
+                owners: controllers
+                    .iter()
+                    .filter(|c| c.state_of(addr).is_owned())
+                    .map(|c| c.name().to_string())
+                    .collect(),
+            });
+        }
+
+        // 2. Exclusivity.
+        if let (Some(excl), true) = (exclusive, holders > 1) {
+            if let Some(other) = controllers
+                .iter()
+                .find(|c| c.state_of(addr).is_valid() && c.id() != excl.id())
+            {
+                return Err(Violation::ExclusivityViolated {
+                    addr,
+                    exclusive_holder: excl.name().to_string(),
+                    other_holder: other.name().to_string(),
+                });
+            }
+        }
+
+        // 3. Every valid copy equals the golden image.
+        if let Some((ctrl, state)) = stale {
+            return Err(Violation::StaleCopy {
+                addr,
+                holder: ctrl.name().to_string(),
+                state,
+            });
+        }
+
+        let memory_current = || matches_golden(memory.peek_line_ref(addr), golden);
+
+        // 5. Exclusive-unmodified copies match memory (checked before the
+        // default-owner rule so the more specific violation is reported).
+        if let Some(ctrl) = clean_exclusive.filter(|_| self.check_exclusive_clean) {
+            if !memory_current() {
+                return Err(Violation::ExclusiveUnmodifiedDiffers {
+                    addr,
+                    holder: ctrl.name().to_string(),
+                });
+            }
+        }
+
+        // 4. Memory is the default owner.
+        if owners == 0 && !memory_current() {
+            return Err(Violation::StaleMemory { addr });
+        }
         Ok(())
+    }
+}
+
+/// Whether a stored line equals `golden`; `None` is a never-written line,
+/// which reads as zero.
+pub(crate) fn matches_golden(stored: Option<&[u8]>, golden: &[u8]) -> bool {
+    match stored {
+        Some(data) => data == golden,
+        None => golden.iter().all(|&b| b == 0),
     }
 }
 

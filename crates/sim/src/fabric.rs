@@ -6,7 +6,9 @@
 //! `Fabric` is deliberately oracle-free and workload-free — it is the
 //! machine, not the experiment. `System` wraps it with the consistency
 //! checker; a [`Bridge`](crate::hierarchy::Bridge) wraps it with a cluster
-//! directory.
+//! directory. The one concession to the oracle is
+//! [`record_touched`](Fabric::record_touched): the fabric can note which
+//! lines its accesses touched, so the checker audits only those.
 
 use cache_array::{split_line_crossers, Victim};
 use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
@@ -19,9 +21,15 @@ use crate::controller::CacheController;
 pub struct Fabric {
     bus: Futurebus,
     controllers: Vec<CacheController>,
-    line_size: usize,
+    /// `u32`: packs with `tolerate` into one word.
+    line_size: u32,
     tolerate: bool,
     errors: Vec<String>,
+    /// The lines touched since the last clear, ascending and distinct, while
+    /// recording is on. Boxed, so a fabric without an oracle pays one
+    /// pointer for it.
+    #[allow(clippy::box_collection)]
+    touched: Option<Box<Vec<u64>>>,
 }
 
 impl Fabric {
@@ -31,9 +39,42 @@ impl Fabric {
         Fabric {
             bus: Futurebus::new(line_size, timing),
             controllers,
-            line_size,
+            line_size: u32::try_from(line_size).expect("line size fits in u32"),
             tolerate: false,
             errors: Vec::new(),
+            touched: None,
+        }
+    }
+
+    /// Starts recording the line of every accessed piece and of every
+    /// evicted victim, for the oracle's touched-line audit. Every other line
+    /// an access can change is one of those: snoops, interventions and
+    /// memory-direct fallbacks all concern the transaction's own line.
+    pub fn record_touched(&mut self) {
+        self.touched.get_or_insert_with(Box::default);
+    }
+
+    /// The lines touched since the last [`clear_touched`], ascending and
+    /// distinct (empty unless recording).
+    ///
+    /// [`clear_touched`]: Fabric::clear_touched
+    #[must_use]
+    pub fn touched(&self) -> &[u64] {
+        self.touched.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// Forgets the touched lines.
+    pub fn clear_touched(&mut self) {
+        if let Some(touched) = &mut self.touched {
+            touched.clear();
+        }
+    }
+
+    fn touch(&mut self, line: u64) {
+        if let Some(touched) = &mut self.touched {
+            if let Err(at) = touched.binary_search(&line) {
+                touched.insert(at, line);
+            }
         }
     }
 
@@ -53,7 +94,7 @@ impl Fabric {
     /// The line size in bytes.
     #[must_use]
     pub fn line_size(&self) -> usize {
-        self.line_size
+        self.line_size as usize
     }
 
     /// Number of controllers attached.
@@ -93,7 +134,7 @@ impl Fabric {
     /// The line-aligned address containing `addr`.
     #[must_use]
     pub fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.line_size as u64 - 1)
+        addr & !(self.line_size() as u64 - 1)
     }
 
     /// The module index used for transactions issued by the fabric's owner
@@ -184,7 +225,8 @@ impl Fabric {
     /// crossers (§5.1).
     pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
+        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size()) {
+            self.touch(self.line_addr(piece_addr));
             out.extend(self.read_piece(cpu, piece_addr, piece_len));
         }
         out
@@ -200,12 +242,13 @@ impl Fabric {
         bytes: &[u8],
         mut on_piece: F,
     ) {
-        let pieces = split_line_crossers(addr, bytes.len(), self.line_size);
+        let pieces = split_line_crossers(addr, bytes.len(), self.line_size());
         let mut cursor = 0;
         for (piece_addr, piece_len) in pieces {
             let piece = &bytes[cursor..cursor + piece_len];
             cursor += piece_len;
             on_piece(piece_addr, piece);
+            self.touch(self.line_addr(piece_addr));
             self.write_piece(cpu, piece_addr, piece);
         }
     }
@@ -223,7 +266,7 @@ impl Fabric {
         };
         debug_assert_eq!(action.bus_op, BusOp::Write);
         let data = self.controllers[cpu]
-            .read_cached(line, self.line_size)
+            .read_cached(line, self.line_size as usize)
             .expect("owned line is resident");
         let req = TransactionRequest::write(cpu, line, action.signals, 0, data);
         let out = self.run_txn(&req);
@@ -246,7 +289,7 @@ impl Fabric {
         };
         if action.bus_op == BusOp::Write {
             let data = self.controllers[cpu]
-                .read_cached(line, self.line_size)
+                .read_cached(line, self.line_size as usize)
                 .expect("resident");
             let req = TransactionRequest::write(cpu, line, action.signals, 0, data);
             self.run_txn(&req);
@@ -298,11 +341,11 @@ impl Fabric {
         let line = self.line_addr(addr);
         // Single-line accesses (the overwhelmingly common case) skip the
         // crosser split entirely.
-        if addr - line + len as u64 <= self.line_size as u64 {
+        if addr - line + len as u64 <= self.line_size() as u64 {
             self.read_piece_dataless(cpu, addr, len);
             return;
         }
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
+        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size()) {
             self.read_piece_dataless(cpu, piece_addr, piece_len);
         }
     }
@@ -312,7 +355,7 @@ impl Fabric {
     /// checker is recording writes. Byte-identical side effects.
     pub fn write_fast(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
         let line = self.line_addr(addr);
-        if addr - line + bytes.len() as u64 <= self.line_size as u64 {
+        if addr - line + bytes.len() as u64 <= self.line_size() as u64 {
             self.write_piece(cpu, addr, bytes);
             return;
         }
@@ -391,6 +434,9 @@ impl Fabric {
     }
 
     fn write_back_victim(&mut self, cpu: usize, victim: Victim<LineState>) {
+        // Every eviction, clean or dirty, passes here: recording the victim
+        // lets the audit catch a protocol that drops a dirty line.
+        self.touch(victim.addr);
         if !victim.state.is_owned() {
             return; // clean victims are dropped silently
         }

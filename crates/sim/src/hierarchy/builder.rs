@@ -367,15 +367,15 @@ impl TreeBuilder {
                 bus: Futurebus::new(line_size, parent_timing),
                 children,
             },
-            checker: if checking {
-                Some(Checker::new(line_size))
-            } else {
-                None
-            },
+            checker: checking.then(|| Checker::new(line_size)),
             line_size,
             parent_errors: Vec::new(),
             tolerant: false,
+            sweep_always: false,
         };
+        if checking {
+            super::for_each_leaf(&mut sys.root.children, &mut Fabric::record_touched);
+        }
         if discipline != Discipline::Priority {
             sys.set_discipline(discipline);
         }

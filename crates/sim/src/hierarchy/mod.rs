@@ -45,7 +45,7 @@ mod node;
 pub use builder::{HierarchyBuilder, TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
-use crate::checker::{Checker, Violation};
+use crate::checker::{matches_golden, Checker, Violation};
 use crate::fabric::Fabric;
 use crate::metrics::CpuStats;
 use crate::workload::RefStream;
@@ -132,6 +132,10 @@ pub struct HierarchicalSystem {
     line_size: usize,
     parent_errors: Vec<ParentError>,
     tolerant: bool,
+    /// Set once the tree's internals have been handed out mutably or a
+    /// fault has been applied: the oracle can no longer know which lines
+    /// change, so every audit is a full sweep.
+    sweep_always: bool,
 }
 
 impl HierarchicalSystem {
@@ -226,11 +230,14 @@ impl HierarchicalSystem {
 
     /// Mutable access to the `leaf`-th leaf cluster's fabric, for installing
     /// fault plans or tolerant-mode settings on the leaf bus.
+    /// From here on the oracle sweeps every line after every access: it
+    /// cannot see what the caller changes.
     ///
     /// # Panics
     ///
     /// Panics when `leaf` is out of range.
     pub fn leaf_fabric_mut(&mut self, leaf: usize) -> &mut Fabric {
+        self.sweep_always = true;
         fn walk<'a>(
             children: &'a mut [Bridge],
             n: &mut usize,
@@ -263,7 +270,10 @@ impl HierarchicalSystem {
     }
 
     /// Mutable access to a root-level cluster's bridge.
+    /// From here on the oracle sweeps every line after every access: it
+    /// cannot see what the caller changes.
     pub fn bridge_mut(&mut self, cluster: usize) -> &mut Bridge {
+        self.sweep_always = true;
         &mut self.root.children[cluster]
     }
 
@@ -287,12 +297,15 @@ impl HierarchicalSystem {
     }
 
     /// Mutable access to the bridge at a tree path.
+    /// From here on the oracle sweeps every line after every access: it
+    /// cannot see what the caller changes.
     ///
     /// # Panics
     ///
     /// Panics on an empty path, an out-of-range index, or a path descending
     /// below a leaf.
     pub fn bridge_at_mut(&mut self, path: &[usize]) -> &mut Bridge {
+        self.sweep_always = true;
         let mut bridge = &mut self.root.children[path[0]];
         for &i in &path[1..] {
             bridge = match &mut bridge.node {
@@ -334,7 +347,10 @@ impl HierarchicalSystem {
 
     /// Mutable access to the root bus, for fault plans, retry policy and
     /// the liveness watchdog.
+    /// From here on the oracle sweeps every line after every access: it
+    /// cannot see what the caller changes.
     pub fn parent_bus_mut(&mut self) -> &mut Futurebus {
+        self.sweep_always = true;
         &mut self.root.bus
     }
 
@@ -346,7 +362,10 @@ impl HierarchicalSystem {
 
     /// Mutable oracle access — fault campaigns reconcile the golden image
     /// against *reported* loss through this.
+    /// From here on the oracle sweeps every line after every access: it
+    /// cannot see what the caller changes.
     pub fn checker_mut(&mut self) -> Option<&mut Checker> {
+        self.sweep_always = true;
         self.checker.as_mut()
     }
 
@@ -363,21 +382,17 @@ impl HierarchicalSystem {
 
     /// Switches fault-tolerant mode on or off, for every leaf cluster bus
     /// and the hierarchy itself. Tolerant mode stops the per-access oracle
-    /// panics (`read`/`write` no longer call
-    /// [`verify`](HierarchicalSystem::verify)); a fault campaign reconciles
-    /// reported damage first and then runs the oracle explicitly, so only
-    /// *unreported* corruption counts as silent.
+    /// panics (`read`/`write` no longer audit); a fault campaign reconciles
+    /// reported damage first and then runs the oracle explicitly
+    /// ([`verify`](HierarchicalSystem::verify)), so only *unreported*
+    /// corruption counts as silent. Either way, from here on every audit
+    /// sweeps the whole tree.
     pub fn tolerate_faults(&mut self, on: bool) {
         self.tolerant = on;
-        fn walk(children: &mut [Bridge], on: bool) {
-            for b in children {
-                match &mut b.node {
-                    FabricNode::Leaf(fabric) => fabric.tolerate_bus_errors(on),
-                    FabricNode::Interior(seg) => walk(&mut seg.children, on),
-                }
-            }
-        }
-        walk(&mut self.root.children, on);
+        self.sweep_always = true;
+        for_each_leaf(&mut self.root.children, &mut |fabric| {
+            fabric.tolerate_bus_errors(on);
+        });
     }
 
     /// Sets the arbitration discipline of every bus in the tree: the root
@@ -490,6 +505,29 @@ impl HierarchicalSystem {
     /// Panics when `path` does not reach a leaf cluster, or on a consistency
     /// violation when the oracle is enabled.
     pub fn read_at(&mut self, path: &[usize], cpu: usize, addr: u64, len: usize) -> Vec<u8> {
+        self.try_read_at(path, cpu, addr, len)
+            .unwrap_or_else(|v| panic!("hierarchy consistency violation: {v}"))
+    }
+
+    /// [`read_at`](HierarchicalSystem::read_at), returning the oracle's
+    /// verdict instead of panicking: a wrong read value first, else the
+    /// first invariant the access broke.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation; always `Ok` without the oracle or in tolerant
+    /// mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` does not reach a leaf cluster.
+    pub fn try_read_at(
+        &mut self,
+        path: &[usize],
+        cpu: usize,
+        addr: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, Violation> {
         let mut out = Vec::with_capacity(len);
         for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
             let line = self.line_addr(piece_addr);
@@ -504,15 +542,12 @@ impl HierarchicalSystem {
             ));
         }
         self.hoist_forward_errors();
-        if !self.tolerant {
-            if let Some(ck) = &self.checker {
-                if let Err(v) = ck.check_read(cpu, addr, &out) {
-                    panic!("hierarchy consistency violation: {v}");
-                }
-            }
-        }
-        self.audit();
-        out
+        let read = match &self.checker {
+            Some(ck) if !self.tolerant => ck.check_read(cpu, addr, &out),
+            _ => Ok(()),
+        };
+        let audit = self.audit(path);
+        read.and(audit).map(|()| out)
     }
 
     /// Processor (`cluster`, `cpu`) writes `bytes` at `addr` (two-level
@@ -533,6 +568,28 @@ impl HierarchicalSystem {
     /// Panics when `path` does not reach a leaf cluster, or on a consistency
     /// violation when the oracle is enabled.
     pub fn write_at(&mut self, path: &[usize], cpu: usize, addr: u64, bytes: &[u8]) {
+        self.try_write_at(path, cpu, addr, bytes)
+            .unwrap_or_else(|v| panic!("hierarchy consistency violation: {v}"));
+    }
+
+    /// [`write_at`](HierarchicalSystem::write_at), returning the first
+    /// invariant the access broke instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation; always `Ok` without the oracle or in tolerant
+    /// mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` does not reach a leaf cluster.
+    pub fn try_write_at(
+        &mut self,
+        path: &[usize],
+        cpu: usize,
+        addr: u64,
+        bytes: &[u8],
+    ) -> Result<(), Violation> {
         let pieces = split_line_crossers(addr, bytes.len(), self.line_size);
         let mut cursor = 0;
         for (piece_addr, piece_len) in pieces {
@@ -553,7 +610,7 @@ impl HierarchicalSystem {
             );
         }
         self.hoist_forward_errors();
-        self.audit();
+        self.audit(path)
     }
 
     /// Collects forwarding errors captured inside bridges (interior-segment
@@ -606,26 +663,35 @@ impl HierarchicalSystem {
             }
         }
         collect_lines(&self.root.children, &mut lines);
+        self.verify_lines(ck, lines)
+    }
 
+    /// The global invariants of `lines` only, in the order given (see
+    /// [`Checker::verify_lines`] for why that suffices after an access).
+    fn verify_lines(
+        &self,
+        ck: &Checker,
+        lines: impl IntoIterator<Item = u64>,
+    ) -> Result<(), Violation> {
         for line in lines {
-            let golden = ck.golden_bytes(line, self.line_size);
+            let golden = ck.golden_line(line);
 
             // (1) Every valid cached copy anywhere equals the golden image.
             // (2) At most one local owner per leaf cluster.
             for (i, bridge) in self.root.children.iter().enumerate() {
-                check_cached_copies(bridge, &format!("cluster{i}"), line, &golden)?;
+                check_cached_copies(bridge, &Label::root(i), line, golden)?;
             }
 
             // (3) At most one owning child; (4) exclusivity between
             // children; (5) unowned lines are current in segment memory;
             // (6) the owning child's authoritative data is golden — all on
             // the root segment, whose memory is true main memory.
-            segment_invariants(&self.root, None, line, &golden)?;
+            segment_invariants(&self.root, None, line, golden)?;
 
             // The same invariants inside every interior segment, plus the
             // inclusion invariant the snoop filter is sound against.
             for (i, bridge) in self.root.children.iter().enumerate() {
-                subtree_invariants(bridge, &format!("cluster{i}"), line, &golden)?;
+                subtree_invariants(bridge, &Label::root(i), line, golden)?;
             }
         }
         Ok(())
@@ -679,7 +745,11 @@ impl HierarchicalSystem {
     pub fn make_globally_consistent(&mut self) -> usize {
         let pushed = self.root.push_owned(0, &mut self.parent_errors);
         self.hoist_forward_errors();
-        self.audit();
+        if !self.tolerant {
+            if let Err(v) = self.verify() {
+                panic!("hierarchy consistency violation: {v}");
+            }
+        }
         pushed
     }
 
@@ -704,13 +774,28 @@ impl HierarchicalSystem {
         out
     }
 
-    fn audit(&self) {
-        if self.tolerant {
-            return;
-        }
-        if let Err(v) = self.verify() {
-            panic!("hierarchy consistency violation: {v}");
-        }
+    /// The after-access audit: the invariants of the lines the access at
+    /// `path` touched — the pieces and victims its leaf fabric recorded —
+    /// in ascending order, so the first violation reported is the one a
+    /// full sweep would report. Bridge forwards, sibling snoops and
+    /// memory-direct fallbacks all concern the accessed line, and bridge
+    /// directories never evict, so no other line can have changed. (A
+    /// retired bridge, whose accesses never reach the leaf, exists only
+    /// after a fault, and faults switch the oracle to full sweeps.)
+    fn audit(&mut self, path: &[usize]) -> Result<(), Violation> {
+        let Some(ck) = &self.checker else {
+            return Ok(());
+        };
+        let result = if self.tolerant {
+            Ok(())
+        } else if self.sweep_always {
+            self.verify()
+        } else {
+            let touched = self.bridge_at(path).fabric().touched();
+            self.verify_lines(ck, touched.iter().copied())
+        };
+        leaf_on_path(&mut self.root, path).clear_touched();
+        result
     }
 
     /// Deterministically retires a root-level cluster's bridge, as if the
@@ -720,8 +805,10 @@ impl HierarchicalSystem {
     /// one-cluster system — can be the victim. With `salvage` the watchdog
     /// pushes the bridge's dirty lines to parent memory in synthetic push
     /// rounds; without it they are lost and every surviving copy is
-    /// invalidated.
+    /// invalidated. Either changes lines no access touched, so from here on
+    /// the oracle sweeps every line after every access.
     pub fn retire_bridge(&mut self, cluster: usize, salvage: bool) {
+        self.sweep_always = true;
         self.root.bus.stall_module(cluster, salvage);
         let trigger = TransactionRequest::read(
             self.root.children.len(),
@@ -749,8 +836,10 @@ impl HierarchicalSystem {
     /// — see [`bridges_preorder`](HierarchicalSystem::bridges_preorder); for
     /// a two-level machine the flat index is the cluster index — so the
     /// caller can run the scrubber. `None` when the dice miss, no plan is
-    /// installed, or the chosen bridge's directory is empty.
+    /// installed, or the chosen bridge's directory is empty. From here on
+    /// the oracle sweeps every line after every access.
     pub fn corrupt_inclusion_tag(&mut self) -> Option<(usize, LineAddr)> {
+        self.sweep_always = true;
         let bridge_count = self.bridges_preorder().len();
         let plan = self.root.bus.fault_plan_mut()?;
         if !plan.decide_stale_tag() {
@@ -805,13 +894,48 @@ impl HierarchicalSystem {
     /// The reconstruction is conservative rather than literal: a tag the
     /// evidence cannot distinguish from a weaker-but-sound one (e.g. M whose
     /// write never changed the data) may come back as the weaker state.
+    /// From here on the oracle sweeps every line after every access.
     ///
     /// # Panics
     ///
     /// Panics when `bridge` is out of range.
     pub fn scrub_inclusion_tag(&mut self, bridge: usize, line: LineAddr) -> LineState {
+        self.sweep_always = true;
         let mut idx = 0;
         scrub_in_segment(&mut self.root, bridge, &mut idx, line).expect("flat index in range")
+    }
+}
+
+/// A bridge's place in the tree, rendered as `cluster{i}.{j}…` only when a
+/// violation needs the name: the checks themselves never allocate.
+#[derive(Clone, Copy)]
+struct Label<'a> {
+    parent: Option<&'a Label<'a>>,
+    index: usize,
+}
+
+impl<'a> Label<'a> {
+    fn root(index: usize) -> Self {
+        Label {
+            parent: None,
+            index,
+        }
+    }
+
+    fn child(&'a self, index: usize) -> Label<'a> {
+        Label {
+            parent: Some(self),
+            index,
+        }
+    }
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.parent {
+            None => write!(f, "cluster{}", self.index),
+            Some(parent) => write!(f, "{parent}.{}", self.index),
+        }
     }
 }
 
@@ -819,7 +943,7 @@ impl HierarchicalSystem {
 /// the golden image, and each leaf cluster has at most one local owner.
 fn check_cached_copies(
     bridge: &Bridge,
-    label: &str,
+    label: &Label<'_>,
     line: u64,
     golden: &[u8],
 ) -> Result<(), Violation> {
@@ -827,24 +951,19 @@ fn check_cached_copies(
         FabricNode::Leaf(fabric) => {
             let mut local_owners = 0;
             for ctrl in fabric.controllers() {
-                let state = ctrl.state_of(line);
+                let Some(entry) = ctrl.cache().and_then(|c| c.lookup(line)) else {
+                    continue;
+                };
+                let state = entry.state;
                 if state.is_owned() {
                     local_owners += 1;
                 }
-                if state.is_valid() {
-                    let data = ctrl
-                        .cache()
-                        .and_then(|c| c.lookup(line))
-                        .expect("valid line resident")
-                        .data
-                        .clone();
-                    if data[..] != golden[..] {
-                        return Err(Violation::StaleCopy {
-                            addr: line,
-                            holder: format!("{label}/{}", ctrl.name()),
-                            state,
-                        });
-                    }
+                if state.is_valid() && entry.data[..] != golden[..] {
+                    return Err(Violation::StaleCopy {
+                        addr: line,
+                        holder: format!("{label}/{}", ctrl.name()),
+                        state,
+                    });
                 }
             }
             if local_owners > 1 {
@@ -857,7 +976,7 @@ fn check_cached_copies(
         }
         FabricNode::Interior(seg) => {
             for (j, child) in seg.children().iter().enumerate() {
-                check_cached_copies(child, &format!("{label}.{j}"), line, golden)?;
+                check_cached_copies(child, &label.child(j), line, golden)?;
             }
             Ok(())
         }
@@ -870,7 +989,7 @@ fn check_cached_copies(
 /// (labels are `cluster{i}`) and the parent bridge's label below it.
 fn segment_invariants(
     seg: &Segment,
-    prefix: Option<&str>,
+    prefix: Option<&Label<'_>>,
     line: u64,
     golden: &[u8],
 ) -> Result<(), Violation> {
@@ -878,17 +997,23 @@ fn segment_invariants(
         None => format!("cluster{i}"),
         Some(p) => format!("{p}.{i}"),
     };
-    let owning: Vec<usize> = seg
+    let mut owning = seg
         .children
         .iter()
         .enumerate()
         .filter(|(_, b)| b.cluster_state(line).is_owned())
-        .map(|(i, _)| i)
-        .collect();
-    if owning.len() > 1 {
+        .map(|(i, _)| i);
+    let owner = owning.next();
+    if owner.is_some() && owning.next().is_some() {
         return Err(Violation::MultipleOwners {
             addr: line,
-            owners: owning.iter().map(|&i| label(i)).collect(),
+            owners: seg
+                .children
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.cluster_state(line).is_owned())
+                .map(|(i, _)| label(i))
+                .collect(),
         });
     }
     if let Some((excl, _)) = seg
@@ -910,12 +1035,11 @@ fn segment_invariants(
             });
         }
     }
-    if owning.is_empty() && seg.bus.memory().peek_line(line)[..] != golden[..] {
+    if owner.is_none() && !matches_golden(seg.bus.memory().peek_line_ref(line), golden) {
         return Err(Violation::StaleMemory { addr: line });
     }
-    if let Some(&owner) = owning.first() {
-        let data = seg.children[owner].authoritative_line(line);
-        if data[..] != golden[..] {
+    if let Some(owner) = owner {
+        if !matches_golden(seg.children[owner].authoritative_ref(line), golden) {
             return Err(Violation::StaleCopy {
                 addr: line,
                 holder: format!("{} (authoritative)", label(owner)),
@@ -931,7 +1055,7 @@ fn segment_invariants(
 /// then the segment invariants of every interior segment.
 fn subtree_invariants(
     bridge: &Bridge,
-    label: &str,
+    label: &Label<'_>,
     line: u64,
     golden: &[u8],
 ) -> Result<(), Violation> {
@@ -949,10 +1073,29 @@ fn subtree_invariants(
             segment_invariants(seg, Some(label), line, golden)?;
         }
         for (j, child) in seg.children().iter().enumerate() {
-            subtree_invariants(child, &format!("{label}.{j}"), line, golden)?;
+            subtree_invariants(child, &label.child(j), line, golden)?;
         }
     }
     Ok(())
+}
+
+/// Calls `f` on every leaf fabric below `children`, in leaf order.
+fn for_each_leaf(children: &mut [Bridge], f: &mut impl FnMut(&mut Fabric)) {
+    for b in children {
+        match &mut b.node {
+            FabricNode::Leaf(fabric) => f(fabric),
+            FabricNode::Interior(seg) => for_each_leaf(&mut seg.children, f),
+        }
+    }
+}
+
+/// The leaf fabric an access `path` reaches below `seg` (the path is one
+/// an access has just walked).
+fn leaf_on_path<'a>(seg: &'a mut Segment, path: &[usize]) -> &'a mut Fabric {
+    match &mut seg.children[path[0]].node {
+        FabricNode::Leaf(fabric) => fabric,
+        FabricNode::Interior(inner) => leaf_on_path(inner, &path[1..]),
+    }
 }
 
 /// The bridge at pre-order flat index `target`, if in range.

@@ -616,27 +616,32 @@ impl Bridge {
     /// one exists (recursing through owning child bridges to the owning
     /// cache), else the mirror.
     pub(super) fn authoritative_line(&self, line: LineAddr) -> Box<[u8]> {
+        match self.authoritative_ref(line) {
+            Some(data) => data.into(),
+            None => vec![0; self.mirror().line_size()].into_boxed_slice(),
+        }
+    }
+
+    /// [`Bridge::authoritative_line`], borrowed; `None` when the answer is
+    /// a mirror line never written (all zero).
+    pub(super) fn authoritative_ref(&self, line: LineAddr) -> Option<&[u8]> {
         match &self.node {
             FabricNode::Leaf(fabric) => {
                 for ctrl in fabric.controllers() {
                     if ctrl.state_of(line).is_owned() {
-                        return ctrl
-                            .cache()
-                            .and_then(|c| c.lookup(line))
-                            .expect("owner is resident")
-                            .data
-                            .clone();
+                        let entry = ctrl.cache().and_then(|c| c.lookup(line));
+                        return Some(&entry.expect("owner is resident").data);
                     }
                 }
-                fabric.bus().memory().peek_line(line)
+                fabric.bus().memory().peek_line_ref(line)
             }
             FabricNode::Interior(seg) => {
                 for child in &seg.children {
                     if child.cluster_state(line).is_owned() {
-                        return child.authoritative_line(line);
+                        return child.authoritative_ref(line);
                     }
                 }
-                seg.bus.memory().peek_line(line)
+                seg.bus.memory().peek_line_ref(line)
             }
         }
     }

@@ -6,7 +6,9 @@
 //! class") — and [`System`] drives it: every processor read or write becomes
 //! cache lookups, protocol consultations and Futurebus transactions, with the
 //! [`Checker`] oracle auditing the shared memory image after every access
-//! when enabled. The access engine itself lives in [`Fabric`](crate::Fabric).
+//! when enabled — the lines that access touched, which is enough because
+//! every invariant concerns one line. The access engine itself lives in
+//! [`Fabric`](crate::Fabric).
 
 use cache_array::CacheConfig;
 use futurebus::{BusStats, TimingConfig};
@@ -135,14 +137,15 @@ impl SystemBuilder {
                 CacheController::new(id, protocol, cfg, self.seed.wrapping_add(id as u64))
             })
             .collect();
+        let mut fabric = Fabric::new(self.line_size, self.timing, controllers);
+        if self.checking {
+            fabric.record_touched();
+        }
         System {
-            fabric: Fabric::new(self.line_size, self.timing, controllers),
-            checker: if self.checking {
-                Some(Checker::new(self.line_size))
-            } else {
-                None
-            },
+            fabric,
+            checker: self.checking.then(|| Checker::new(self.line_size)),
             write_seq: 0,
+            sweep_always: false,
         }
     }
 }
@@ -153,6 +156,9 @@ pub struct System {
     fabric: Fabric,
     checker: Option<Checker>,
     write_seq: u32,
+    /// Set once the fabric has been handed out mutably: the oracle can no
+    /// longer know which lines change, so every audit is a full sweep.
+    sweep_always: bool,
 }
 
 impl System {
@@ -210,7 +216,11 @@ impl System {
 
     /// Mutable fabric access. Writes made behind the oracle's back will be
     /// reported as violations; use [`System::write`] for checked accesses.
+    /// From here on the oracle audits every line after every access, since
+    /// it cannot see what the caller changes (fault plans, tolerant mode,
+    /// memory preloads).
     pub fn fabric_mut(&mut self) -> &mut Fabric {
+        self.sweep_always = true;
         &mut self.fabric
     }
 
@@ -220,7 +230,7 @@ impl System {
         self.fabric.controller(cpu).state_of(addr)
     }
 
-    /// Verifies the shared-memory-image invariants now.
+    /// Verifies the shared-memory-image invariants of every line now.
     ///
     /// # Errors
     ///
@@ -240,14 +250,25 @@ impl System {
     ///
     /// Panics on a consistency violation when the oracle is enabled.
     pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
+        self.try_read(cpu, addr, len)
+            .unwrap_or_else(|v| panic!("consistency violation: {v}"))
+    }
+
+    /// [`System::read`], returning the oracle's verdict instead of
+    /// panicking: a wrong read value first, else the first invariant the
+    /// access broke.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation; always `Ok` when the oracle is not enabled.
+    pub fn try_read(&mut self, cpu: usize, addr: u64, len: usize) -> Result<Vec<u8>, Violation> {
         let out = self.fabric.read(cpu, addr, len);
-        if let Some(ck) = &self.checker {
-            if let Err(v) = ck.check_read(cpu, addr, &out) {
-                panic!("consistency violation: {v}");
-            }
-        }
-        self.audit();
-        out
+        let read = match &self.checker {
+            Some(ck) => ck.check_read(cpu, addr, &out),
+            None => Ok(()),
+        };
+        let audit = self.audit();
+        read.and(audit).map(|()| out)
     }
 
     /// Processor `cpu` writes `bytes` at `addr`.
@@ -256,6 +277,17 @@ impl System {
     ///
     /// Panics on a consistency violation when the oracle is enabled.
     pub fn write(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
+        self.try_write(cpu, addr, bytes)
+            .unwrap_or_else(|v| panic!("consistency violation: {v}"));
+    }
+
+    /// [`System::write`], returning the first invariant the access broke
+    /// instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation; always `Ok` when the oracle is not enabled.
+    pub fn try_write(&mut self, cpu: usize, addr: u64, bytes: &[u8]) -> Result<(), Violation> {
         let checker = &mut self.checker;
         self.fabric
             .write_with(cpu, addr, bytes, |piece_addr, piece| {
@@ -263,7 +295,7 @@ impl System {
                     ck.record_write(piece_addr, piece);
                 }
             });
-        self.audit();
+        self.audit()
     }
 
     /// An atomic read-modify-write: reads `len` bytes at `addr`, applies `f`,
@@ -328,7 +360,7 @@ impl System {
     /// No-op unless node `cpu` holds the line in an owned state.
     pub fn pass(&mut self, cpu: usize, addr: u64) -> bool {
         let did = self.fabric.pass(cpu, addr);
-        self.audit();
+        self.sweep();
         did
     }
 
@@ -336,7 +368,7 @@ impl System {
     /// from node `cpu`'s cache (Table 1, note 4). No-op when not resident.
     pub fn flush(&mut self, cpu: usize, addr: u64) -> bool {
         let did = self.fabric.flush(cpu, addr);
-        self.audit();
+        self.sweep();
         did
     }
 
@@ -720,7 +752,25 @@ impl System {
         completed
     }
 
-    fn audit(&self) {
+    /// The after-access audit: the invariants of the lines the access
+    /// touched, in ascending order, so the first violation reported is the
+    /// one a full sweep would report.
+    fn audit(&mut self) -> Result<(), Violation> {
+        let Some(ck) = &self.checker else {
+            return Ok(());
+        };
+        let (controllers, memory) = (self.fabric.controllers(), self.fabric.bus().memory());
+        let result = if self.sweep_always {
+            ck.verify(controllers, memory)
+        } else {
+            ck.verify_lines(controllers, memory, self.fabric.touched().iter().copied())
+        };
+        self.fabric.clear_touched();
+        result
+    }
+
+    /// The full sweep that follows the §6 consistency commands.
+    fn sweep(&self) {
         if let Err(v) = self.verify() {
             panic!("consistency violation: {v}");
         }
