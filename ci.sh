@@ -17,6 +17,12 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# perfbench is a workspace of its own, so the workspace run above skips it:
+# its tests pin the reference digests and that piece-timed runs equal whole
+# runs.
+echo "==> perfbench tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption)"
 ./target/release/moesi-sim faults --seed 7 --steps 800
 

@@ -128,8 +128,6 @@ pub struct HierarchyRow {
     pub engine_accesses_per_sec: f64,
     /// Snoops observed across every bridge in the tree.
     pub snooped: u64,
-    /// Snoops whose inclusion tag hit (subtree holds the line).
-    pub filter_hits: u64,
     /// Snoops admitted past the filters into subtrees.
     pub forwarded: u64,
     /// Snoops the inclusion filters suppressed.
@@ -158,7 +156,6 @@ impl PartialEq for HierarchyRow {
             && self.leaf_transactions == other.leaf_transactions
             && self.leaf_busy_ns == other.leaf_busy_ns
             && self.snooped == other.snooped
-            && self.filter_hits == other.filter_hits
             && self.forwarded == other.forwarded
             && self.suppressed == other.suppressed
             && self.phase_p50 == other.phase_p50
@@ -288,11 +285,10 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow
         leaf_busy_ns += s.busy_ns;
     }
     let hist = sys.parent_bus().phase_histograms();
-    let (mut snooped, mut filter_hits, mut forwarded, mut suppressed) = (0u64, 0u64, 0u64, 0u64);
+    let (mut snooped, mut forwarded, mut suppressed) = (0u64, 0u64, 0u64);
     for bridge in sys.bridges_preorder() {
         let s = bridge.stats();
         snooped += s.snooped;
-        filter_hits += s.filter_hits;
         forwarded += s.forwarded;
         suppressed += s.suppressed;
     }
@@ -318,7 +314,6 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow
             accesses as f64 * 1e9 / host_wall_ns as f64
         },
         snooped,
-        filter_hits,
         forwarded,
         suppressed,
         phase_p50: hist.p50s(),
@@ -370,7 +365,6 @@ pub fn hierarchy_json(cfg: &HierarchyBenchConfig, rows: &[HierarchyRow]) -> Stri
             .number("host_wall_ns", r.host_wall_ns)
             .fixed("engine_accesses_per_sec", r.engine_accesses_per_sec, 3)
             .number("snooped", r.snooped)
-            .number("filter_hits", r.filter_hits)
             .number("forwarded", r.forwarded)
             .number("suppressed", r.suppressed)
             .raw("phase_p50_ns", &array_u64(&r.phase_p50))
@@ -471,7 +465,6 @@ mod tests {
                 r.snooped,
                 "every snoop is forwarded or suppressed"
             );
-            assert!(r.filter_hits <= r.forwarded);
             assert!(
                 r.suppressed > 0,
                 "private lines were snoop-filtered at depth {}",

@@ -97,24 +97,34 @@ impl AddressMap {
 /// Panics if `line_size` is not a power of two.
 #[must_use]
 pub fn split_line_crossers(addr: u64, size: usize, line_size: usize) -> Vec<(u64, usize)> {
+    line_pieces(addr, size, line_size).collect()
+}
+
+/// [`split_line_crossers`] as an iterator: the same pieces, with no `Vec`.
+/// The access paths split every processor reference, so this is the form
+/// they use.
+///
+/// # Panics
+///
+/// Panics if `line_size` is not a power of two.
+pub fn line_pieces(addr: u64, size: usize, line_size: usize) -> impl Iterator<Item = (u64, usize)> {
     assert!(
         line_size.is_power_of_two(),
         "line size must be a power of two"
     );
-    if size == 0 {
-        return Vec::new();
-    }
-    let mut pieces = Vec::new();
     let mut cur = addr;
     let mut remaining = size;
-    while remaining > 0 {
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
         let line_end = (cur & !(line_size as u64 - 1)) + line_size as u64;
         let in_line = ((line_end - cur) as usize).min(remaining);
-        pieces.push((cur, in_line));
+        let piece = (cur, in_line);
         cur += in_line as u64;
         remaining -= in_line;
-    }
-    pieces
+        Some(piece)
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //!   consistency state, with LRU/FIFO/random replacement and the §5.2
 //!   *recency rank* the Puzak refinement consults;
 //! * [`split_line_crossers`] — the §5.1 rule that an access overlapping two
-//!   or more lines becomes one transaction per line;
+//!   or more lines becomes one transaction per line ([`line_pieces`] is
+//!   the allocation-free iterator form);
 //! * [`SectorCache`] — a sector (sub-block) cache with consistency state per
 //!   transfer subsector, as §5.1 concludes is necessary.
 //!
@@ -31,7 +32,7 @@ mod array;
 mod config;
 mod sector;
 
-pub use address::{split_line_crossers, AddressMap};
+pub use address::{line_pieces, split_line_crossers, AddressMap};
 pub use array::{CacheArray, Entry, Victim};
 pub use config::{CacheConfig, ReplacementKind};
 pub use sector::{SectorCache, SectorProbe};

@@ -17,7 +17,7 @@
 //!
 //! [`Phase::Arbitrate`]: crate::Phase::Arbitrate
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::str::FromStr;
 
@@ -33,13 +33,27 @@ pub trait Arbiter {
     fn grant(&mut self, requesters: &[usize]) -> Option<usize>;
 
     /// How many arbitration slots `master` waits before winning the bus when
-    /// every index in `live` is contending. The default models a purely
-    /// combinational arbiter: one slot, regardless of the winner — exactly
-    /// the historical fixed-cost behaviour.
-    fn slots_to_grant(&mut self, master: usize, live: &[usize]) -> u32 {
-        let _ = (master, live);
+    /// every live module contends: each index below `modules` that the
+    /// watchdog has not `retired`, plus `master` itself (an external master
+    /// one past the last module, or a retired board, still waits for its own
+    /// grant). The arbiters walk that set in place, so a bus transaction
+    /// allocates nothing. The default models a purely combinational arbiter:
+    /// one slot, regardless of the winner — exactly the historical
+    /// fixed-cost behaviour.
+    fn slots_to_grant(&mut self, master: usize, modules: usize, retired: &BTreeSet<usize>) -> u32 {
+        let _ = (master, modules, retired);
         1
     }
+}
+
+/// The contenders of [`Arbiter::slots_to_grant`], ascending.
+fn contenders(
+    master: usize,
+    modules: usize,
+    retired: &BTreeSet<usize>,
+) -> impl Iterator<Item = usize> + Clone + '_ {
+    (0..modules.max(master + 1))
+        .filter(move |&i| i == master || (i < modules && !retired.contains(&i)))
 }
 
 impl fmt::Debug for dyn Arbiter + Send {
@@ -89,38 +103,36 @@ impl RoundRobinArbiter {
     pub fn new() -> Self {
         RoundRobinArbiter { last: usize::MAX }
     }
+
+    /// Grants the bus to the smallest requester strictly greater than the
+    /// previous winner, wrapping around. `requesters` may come in any order.
+    fn grant_among(&mut self, requesters: impl Iterator<Item = usize> + Clone) -> Option<usize> {
+        let after = requesters
+            .clone()
+            .filter(|&r| self.last != usize::MAX && r > self.last)
+            .min();
+        let winner = after.or_else(|| requesters.min())?;
+        self.last = winner;
+        Some(winner)
+    }
 }
 
 impl Arbiter for RoundRobinArbiter {
     fn grant(&mut self, requesters: &[usize]) -> Option<usize> {
-        if requesters.is_empty() {
-            return None;
-        }
-        // The winner is the smallest index strictly greater than the previous
-        // winner, wrapping around.
-        let after = requesters
-            .iter()
-            .copied()
-            .filter(|&r| self.last != usize::MAX && r > self.last)
-            .min();
-        let winner = after.or_else(|| requesters.iter().copied().min())?;
-        self.last = winner;
-        Some(winner)
+        self.grant_among(requesters.iter().copied())
     }
 
-    fn slots_to_grant(&mut self, master: usize, live: &[usize]) -> u32 {
-        if !live.contains(&master) {
-            return 1;
-        }
+    fn slots_to_grant(&mut self, master: usize, modules: usize, retired: &BTreeSet<usize>) -> u32 {
         // Spin the token until it lands on the master, one slot per grant.
+        let live = contenders(master, modules, retired);
         let mut slots = 0u32;
-        for _ in 0..live.len() {
+        for _ in live.clone() {
             slots += 1;
-            if self.grant(live) == Some(master) {
+            if self.grant_among(live.clone()) == Some(master) {
                 break;
             }
         }
-        slots.max(1)
+        slots
     }
 }
 
@@ -145,16 +157,16 @@ impl FcfsArbiter {
         }
     }
 
-    fn admit(&mut self, candidates: &[usize]) {
-        // Simultaneous arrivals tie-break by index, whatever order the
-        // caller listed them in.
-        let mut sorted: Vec<usize> = candidates.to_vec();
-        sorted.sort_unstable();
-        for m in sorted {
+    fn admit(&mut self, candidates: impl Iterator<Item = usize>) {
+        let arrived = self.queue.len();
+        for m in candidates {
             if !self.queue.contains(&m) {
                 self.queue.push_back(m);
             }
         }
+        // Simultaneous arrivals tie-break by index, whatever order the
+        // caller listed them in.
+        self.queue.make_contiguous()[arrived..].sort_unstable();
     }
 }
 
@@ -163,7 +175,7 @@ impl Arbiter for FcfsArbiter {
         if requesters.is_empty() {
             return None;
         }
-        self.admit(requesters);
+        self.admit(requesters.iter().copied());
         // The queued requester closest to the head wins.
         let winner = self
             .queue
@@ -174,11 +186,9 @@ impl Arbiter for FcfsArbiter {
         Some(winner)
     }
 
-    fn slots_to_grant(&mut self, master: usize, live: &[usize]) -> u32 {
-        self.admit(live);
-        if !self.queue.contains(&master) {
-            self.queue.push_back(master);
-        }
+    fn slots_to_grant(&mut self, master: usize, modules: usize, retired: &BTreeSet<usize>) -> u32 {
+        // The contenders include the master, so it is queued after this.
+        self.admit(contenders(master, modules, retired));
         let pos = self
             .queue
             .iter()
@@ -261,11 +271,13 @@ mod tests {
         assert_eq!(a.grant(&[]), None);
     }
 
+    const NONE_RETIRED: &BTreeSet<usize> = &BTreeSet::new();
+
     #[test]
     fn priority_grants_in_one_slot_for_everyone() {
         let mut a = PriorityArbiter::new();
         for master in 0..4 {
-            assert_eq!(a.slots_to_grant(master, &[0, 1, 2, 3]), 1);
+            assert_eq!(a.slots_to_grant(master, 4, NONE_RETIRED), 1);
         }
     }
 
@@ -302,11 +314,11 @@ mod tests {
     fn round_robin_charges_the_token_distance() {
         let mut a = RoundRobinArbiter::new();
         // Token starts before module 0: master 2 waits for 0 and 1.
-        assert_eq!(a.slots_to_grant(2, &[0, 1, 2, 3]), 3);
+        assert_eq!(a.slots_to_grant(2, 4, NONE_RETIRED), 3);
         // Token now at 2; master 3 is next in turn.
-        assert_eq!(a.slots_to_grant(3, &[0, 1, 2, 3]), 1);
+        assert_eq!(a.slots_to_grant(3, 4, NONE_RETIRED), 1);
         // Wrapping: master 3 again pays a full rotation.
-        assert_eq!(a.slots_to_grant(3, &[0, 1, 2, 3]), 4);
+        assert_eq!(a.slots_to_grant(3, 4, NONE_RETIRED), 4);
     }
 
     #[test]
@@ -314,13 +326,13 @@ mod tests {
         let mut a = FcfsArbiter::new();
         // All four arrive together (index order breaks the tie); master 1 is
         // second in line.
-        assert_eq!(a.slots_to_grant(1, &[0, 1, 2, 3]), 2);
+        assert_eq!(a.slots_to_grant(1, 4, NONE_RETIRED), 2);
         // 2 and 3 are still queued from the first round; master 0 re-arrives
         // behind them.
-        assert_eq!(a.slots_to_grant(0, &[0, 1, 2, 3]), 3);
+        assert_eq!(a.slots_to_grant(0, 4, NONE_RETIRED), 3);
         // Only 1 left queued; 0, 2 and 3 re-arrive behind it in index order,
         // so master 3 sits at the tail of a four-deep queue.
-        assert_eq!(a.slots_to_grant(3, &[0, 1, 2, 3]), 4);
+        assert_eq!(a.slots_to_grant(3, 4, NONE_RETIRED), 4);
     }
 
     #[test]
@@ -346,7 +358,7 @@ mod tests {
         for d in Discipline::ALL {
             let mut a = d.arbiter();
             assert_eq!(a.grant(&[0]), Some(0), "{d}");
-            assert!(a.slots_to_grant(0, &[0, 1]) >= 1, "{d}");
+            assert!(a.slots_to_grant(0, 2, NONE_RETIRED) >= 1, "{d}");
         }
     }
 }

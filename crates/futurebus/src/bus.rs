@@ -230,11 +230,7 @@ impl Futurebus {
         if self.discipline == Discipline::Priority {
             return 1;
         }
-        let mut live: Vec<usize> = (0..modules).filter(|i| !self.retired.contains(i)).collect();
-        if !live.contains(&master) {
-            live.push(master);
-        }
-        self.arbiter.slots_to_grant(master, &live)
+        self.arbiter.slots_to_grant(master, modules, &self.retired)
     }
 
     /// Main memory, for initialisation and checking.

@@ -17,7 +17,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// plenty for keys that differ only in their upper (line-number) bits.
 /// Iteration order is never observable — deterministic consumers go through
 /// [`SparseMemory::line_addrs`], which sorts. Public for other line-keyed
-/// maps (the consistency oracle's golden image).
+/// maps (the consistency oracle's golden image, the fabric tree's bridge
+/// directories).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LineHasher(u64);
 

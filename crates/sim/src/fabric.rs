@@ -10,9 +10,10 @@
 //! [`record_touched`](Fabric::record_touched): the fabric can note which
 //! lines its accesses touched, so the checker audits only those.
 
-use cache_array::{split_line_crossers, Victim};
+use cache_array::{line_pieces, Victim};
 use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
 use moesi::{BusOp, LineState, LocalAction, LocalEvent, MasterSignals};
+use std::ops::Range;
 
 use crate::controller::CacheController;
 
@@ -225,11 +226,18 @@ impl Fabric {
     /// crossers (§5.1).
     pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size()) {
-            self.touch(self.line_addr(piece_addr));
-            out.extend(self.read_piece(cpu, piece_addr, piece_len));
-        }
+        self.read_into(cpu, addr, len, Some(&mut out));
         out
+    }
+
+    /// [`Fabric::read`] appending the bytes to `out`, or — with no sink —
+    /// copying nothing at all. Stats, LRU recency, cache state, memory image,
+    /// bus traffic and the touched-line record are the same either way.
+    pub fn read_into(&mut self, cpu: usize, addr: u64, len: usize, mut out: Option<&mut Vec<u8>>) {
+        for (piece_addr, piece_len) in line_pieces(addr, len, self.line_size()) {
+            self.touch(self.line_addr(piece_addr));
+            self.read_piece(cpu, piece_addr, piece_len, out.as_deref_mut());
+        }
     }
 
     /// Writes `bytes` at `addr` for processor `cpu`, splitting line crossers.
@@ -242,9 +250,8 @@ impl Fabric {
         bytes: &[u8],
         mut on_piece: F,
     ) {
-        let pieces = split_line_crossers(addr, bytes.len(), self.line_size());
         let mut cursor = 0;
-        for (piece_addr, piece_len) in pieces {
+        for (piece_addr, piece_len) in line_pieces(addr, bytes.len(), self.line_size()) {
             let piece = &bytes[cursor..cursor + piece_len];
             cursor += piece_len;
             on_piece(piece_addr, piece);
@@ -334,96 +341,77 @@ impl Fabric {
 
     /// [`Fabric::read`] without materialising the bytes: the event engine's
     /// hot path for workload driving, where the caller discards the data
-    /// anyway. Stats, LRU recency, cache state, memory image and bus traffic
-    /// are byte-identical to [`Fabric::read`] — the only difference is that
-    /// no `Vec` is built for the result and a hit copies nothing.
+    /// anyway. Everything but the returned bytes is identical to
+    /// [`Fabric::read`]: no `Vec` is built and a hit copies nothing.
     pub fn read_dataless(&mut self, cpu: usize, addr: u64, len: usize) {
         let line = self.line_addr(addr);
         // Single-line accesses (the overwhelmingly common case) skip the
         // crosser split entirely.
         if addr - line + len as u64 <= self.line_size() as u64 {
-            self.read_piece_dataless(cpu, addr, len);
+            self.touch(line);
+            self.read_piece(cpu, addr, len, None);
             return;
         }
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size()) {
-            self.read_piece_dataless(cpu, piece_addr, piece_len);
-        }
+        self.read_into(cpu, addr, len, None);
     }
 
     /// [`Fabric::write_with`] without the serialisation hook, with the
-    /// single-line case short-circuited: the event engine's hot path when no
-    /// checker is recording writes. Byte-identical side effects.
+    /// single-line case short-circuited: the hot path when no checker is
+    /// recording writes. Byte-identical side effects, the touched-line
+    /// record included.
     pub fn write_fast(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
         let line = self.line_addr(addr);
         if addr - line + bytes.len() as u64 <= self.line_size() as u64 {
+            self.touch(line);
             self.write_piece(cpu, addr, bytes);
             return;
         }
         self.write_with(cpu, addr, bytes, |_, _| {});
     }
 
-    fn read_piece_dataless(&mut self, cpu: usize, addr: u64, len: usize) {
-        let _ = len;
+    /// Reads one line-bounded piece, appending its bytes to `out` if given.
+    fn read_piece(&mut self, cpu: usize, addr: u64, len: usize, out: Option<&mut Vec<u8>>) {
+        let line = self.line_addr(addr);
+        let range = (addr - line) as usize..(addr - line) as usize + len;
         let ctrl = &mut self.controllers[cpu];
         ctrl.stats_mut().reads += 1;
-        // Single-pass hit probe: same residency check and LRU effect as the
-        // copying hit path, minus the copy and the second tag scan.
+        // Single-pass hit probe: one tag scan checks residency and marks
+        // the line most recently used.
         if ctrl.probe_touch(addr) {
             ctrl.stats_mut().read_hits += 1;
+            if let Some(out) = out {
+                let entry = ctrl.cache().and_then(|c| c.lookup(addr));
+                out.extend_from_slice(&entry.expect("hit line is resident").data[range]);
+            }
             return;
         }
-        let line = self.line_addr(addr);
-        let Some(action) = self.try_decide(cpu, line, LocalEvent::Read) else {
-            // Degraded: the copying path serves from memory without caching;
-            // with nobody consuming the bytes there is nothing to do.
-            return;
-        };
-        self.execute_read_action_dataless(cpu, line, &action);
-    }
-
-    fn read_piece(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
-        self.controllers[cpu].stats_mut().reads += 1;
-        let line = self.line_addr(addr);
-        if self.controllers[cpu].state_of(line).is_valid() {
-            self.controllers[cpu].stats_mut().read_hits += 1;
-            return self.controllers[cpu]
-                .read_cached(addr, len)
-                .expect("valid line is resident");
-        }
-        let offset = (addr - line) as usize;
         let Some(action) = self.try_decide(cpu, line, LocalEvent::Read) else {
             // Degraded: serve from memory without caching the line.
-            let data = self.bus.memory().peek_line(line);
-            return data[offset..offset + len].to_vec();
+            if let Some(out) = out {
+                out.extend_from_slice(&self.bus.memory().peek_line(line)[range]);
+            }
+            return;
         };
-        let data = self.execute_read_action(cpu, line, &action);
-        data[offset..offset + len].to_vec()
+        self.execute_read_action(cpu, line, &action, out.map(|out| (out, range)));
     }
 
     /// Runs a read-typed local action (a miss): the bus read, the fill, and
-    /// any victim write-back. Returns the full line.
-    fn execute_read_action(&mut self, cpu: usize, line: u64, action: &LocalAction) -> Box<[u8]> {
+    /// any victim write-back. `copy` receives the given bytes of the line
+    /// before the fill takes it.
+    fn execute_read_action(
+        &mut self,
+        cpu: usize,
+        line: u64,
+        action: &LocalAction,
+        copy: Option<(&mut Vec<u8>, Range<usize>)>,
+    ) {
         debug_assert_eq!(action.bus_op, BusOp::Read, "read path expects an R action");
         let req = TransactionRequest::read(cpu, line, action.signals);
         let out = self.run_txn(&req);
         let data = out.data.expect("reads return data");
-        let result = action.result.resolve(out.ch_seen);
-        if result.is_valid() {
-            let victim = self.controllers[cpu].fill(line, result, data.clone());
-            if let Some(v) = victim {
-                self.write_back_victim(cpu, v);
-            }
+        if let Some((sink, range)) = copy {
+            sink.extend_from_slice(&data[range]);
         }
-        data
-    }
-
-    /// [`Fabric::execute_read_action`] for callers that discard the line:
-    /// the fill takes the bus data by move instead of cloning it.
-    fn execute_read_action_dataless(&mut self, cpu: usize, line: u64, action: &LocalAction) {
-        debug_assert_eq!(action.bus_op, BusOp::Read, "read path expects an R action");
-        let req = TransactionRequest::read(cpu, line, action.signals);
-        let out = self.run_txn(&req);
-        let data = out.data.expect("reads return data");
         let result = action.result.resolve(out.ch_seen);
         if result.is_valid() {
             let victim = self.controllers[cpu].fill(line, result, data);
@@ -505,7 +493,7 @@ impl Fabric {
             // Read-for-modify: one transaction reads the line and invalidates
             // other copies, then the write happens locally.
             BusOp::Read => {
-                let _ = self.execute_read_action(cpu, line, &action);
+                self.execute_read_action(cpu, line, &action, None);
                 let ok = self.controllers[cpu].write_cached(addr, bytes);
                 assert!(ok, "read-for-modify must have filled the line");
             }
@@ -516,7 +504,7 @@ impl Fabric {
                     self.bus.memory_mut().write_bytes(line, offset, bytes);
                     return;
                 };
-                let _ = self.execute_read_action(cpu, line, &read_action);
+                self.execute_read_action(cpu, line, &read_action, None);
                 self.write_piece_inner(cpu, addr, bytes);
             }
         }

@@ -8,11 +8,12 @@
 //! machinery applies unchanged at every level.
 
 use futurebus::{
-    BusError, BusModule, BusObservation, Futurebus, LineAddr, RetireReport, SparseMemory,
-    TimingConfig, TransactionOutcome, TransactionRequest,
+    BusError, BusModule, BusObservation, Futurebus, LineAddr, LineHasher, RetireReport,
+    SparseMemory, TimingConfig, TransactionOutcome, TransactionRequest,
 };
 use moesi::{table, BusEvent, BusReaction, LineState, MasterSignals, ResponseSignals};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use super::{ParentError, ParentTxnKind};
 use crate::fabric::Fabric;
@@ -26,8 +27,19 @@ pub(super) enum ParentNeed {
         signals: MasterSignals,
         for_write: bool,
     },
-    /// Broadcast the written bytes (a cluster-level shared write).
-    Broadcast { offset: usize, bytes: Vec<u8> },
+    /// Broadcast the written bytes at `offset` (a cluster-level shared
+    /// write). The bytes stay with the access; only the bus request copies
+    /// them.
+    Broadcast { offset: usize },
+}
+
+/// One line-bounded piece of a processor access on its way down the tree.
+pub(super) enum Piece<'a> {
+    /// A read of this many bytes, appended to the sink — or, with no sink,
+    /// copied nowhere: the dataless path of a run without an oracle.
+    Read(usize, Option<&'a mut Vec<u8>>),
+    /// A write of these bytes.
+    Write(&'a [u8]),
 }
 
 /// Per-bridge counters.
@@ -56,10 +68,8 @@ pub struct BridgeStats {
     pub degraded_accesses: u64,
     /// Parent-bus transactions snooped (address cycles observed).
     pub snooped: u64,
-    /// Snoops whose inclusion tag hit: the subtree holds the line.
-    pub filter_hits: u64,
-    /// Snoops admitted past the filter into the subtree (every hit, plus —
-    /// with the filter disabled — every miss as well).
+    /// Snoops admitted past the filter into the subtree: every inclusion
+    /// tag hit, plus — with the filter disabled — every miss as well.
     pub forwarded: u64,
     /// Snoops the inclusion filter suppressed: the subtree holds no copy, so
     /// nothing below this bridge needed to see the transaction.
@@ -116,17 +126,14 @@ impl Segment {
         self.children.len()
     }
 
-    /// Executes `req` on this segment's bus with every child snooping.
+    /// Executes `req` on this segment's bus with every child snooping. The
+    /// bridges are passed as a flat component array, so the pipeline is
+    /// statically dispatched, as for a leaf fabric's controllers.
     pub(super) fn execute_on_children(
         &mut self,
         req: &TransactionRequest,
     ) -> Result<TransactionOutcome, BusError> {
-        let mut refs: Vec<&mut dyn BusModule> = self
-            .children
-            .iter_mut()
-            .map(|b| b as &mut dyn BusModule)
-            .collect();
-        self.bus.execute(req, &mut refs)
+        self.bus.execute_components(req, &mut self.children)
     }
 
     /// Gates an access descending into `child` on the cluster-level
@@ -143,17 +150,18 @@ impl Segment {
         depth: usize,
         errors: &mut Vec<ParentError>,
     ) {
-        let Some(need) = self.children[child].prepare(line, write) else {
+        let Some(need) = self.children[child].prepare(line, write.map(|(offset, _)| offset)) else {
             return;
         };
-        let req = match &need {
-            ParentNeed::Fetch { signals, .. } => TransactionRequest::read(child, line, *signals),
-            ParentNeed::Broadcast { offset, bytes } => TransactionRequest::write(
+        let payload = write.map_or(&[][..], |(_, bytes)| bytes);
+        let req = match need {
+            ParentNeed::Fetch { signals, .. } => TransactionRequest::read(child, line, signals),
+            ParentNeed::Broadcast { offset } => TransactionRequest::write(
                 child,
                 line,
                 MasterSignals::CA_IM_BC,
-                *offset,
-                bytes.clone(),
+                offset,
+                payload.to_vec(),
             ),
         };
         let out = match self.execute_on_children(&req) {
@@ -184,8 +192,8 @@ impl Segment {
                         duration: 0,
                         aborts: 0,
                     },
-                    ParentNeed::Broadcast { offset, bytes } => {
-                        self.bus.memory_mut().write_bytes(line, *offset, bytes);
+                    ParentNeed::Broadcast { offset } => {
+                        self.bus.memory_mut().write_bytes(line, *offset, payload);
                         TransactionOutcome {
                             data: None,
                             responses: ResponseSignals::NONE,
@@ -198,29 +206,28 @@ impl Segment {
                 }
             }
         };
-        self.children[child].commit(line, &need, &out);
+        self.children[child].commit(line, &need, &out, payload);
     }
 
     /// Memory-direct degraded read: `child`'s bridge is dead, so the access
     /// goes straight onto this segment's bus as an uncached read (no CA —
     /// Table 2 column 7). A live sibling that owns the line intervenes and
     /// supplies current data; otherwise segment memory answers.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn degraded_read(
         &mut self,
         child: usize,
         line: LineAddr,
         offset: usize,
         len: usize,
+        out: Option<&mut Vec<u8>>,
         depth: usize,
         errors: &mut Vec<ParentError>,
-    ) -> Vec<u8> {
+    ) {
         self.children[child].stats.degraded_accesses += 1;
         let req = TransactionRequest::read(child, line, MasterSignals::NONE);
-        match self.execute_on_children(&req) {
-            Ok(out) => {
-                let data = out.data.expect("uncached read returns a line");
-                data[offset..offset + len].to_vec()
-            }
+        let data = match self.execute_on_children(&req) {
+            Ok(out) => out.data.expect("uncached read returns a line"),
             Err(e) => {
                 errors.push(ParentError {
                     cluster: child,
@@ -229,9 +236,11 @@ impl Segment {
                     error: e,
                     depth,
                 });
-                let data = self.bus.memory().peek_line(line);
-                data[offset..offset + len].to_vec()
+                self.bus.memory().peek_line(line)
             }
+        };
+        if let Some(out) = out {
+            out.extend_from_slice(&data[offset..offset + len]);
         }
     }
 
@@ -261,75 +270,53 @@ impl Segment {
         }
     }
 
-    /// Reads one line-bounded piece through the tree: descends along `path`,
-    /// gating each level on its cluster-level protocol, until a leaf fabric
-    /// serves the access.
+    /// Runs one line-bounded piece of an access through the tree: descends
+    /// along `path`, gating each level on its cluster-level protocol, until
+    /// a leaf fabric serves the piece — or, below a retired bridge, goes
+    /// memory-direct on that bridge's segment.
     ///
     /// # Panics
     ///
     /// Panics when `path` is exhausted before reaching a leaf, or names a
     /// child that does not exist.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn read_piece(
+    pub(super) fn access_piece(
         &mut self,
         path: &[usize],
         cpu: usize,
         piece_addr: u64,
-        piece_len: usize,
         line: LineAddr,
-        depth: usize,
-        errors: &mut Vec<ParentError>,
-    ) -> Vec<u8> {
-        let child = path[0];
-        if self.children[child].degraded() {
-            let offset = (piece_addr - line) as usize;
-            return self.degraded_read(child, line, offset, piece_len, depth, errors);
-        }
-        self.ensure(child, line, None, depth, errors);
-        match &mut self.children[child].node {
-            FabricNode::Leaf(fabric) => fabric.read(cpu, piece_addr, piece_len),
-            FabricNode::Interior(seg) => {
-                assert!(path.len() > 1, "access path stops at an interior segment");
-                seg.read_piece(
-                    &path[1..],
-                    cpu,
-                    piece_addr,
-                    piece_len,
-                    line,
-                    depth + 1,
-                    errors,
-                )
-            }
-        }
-    }
-
-    /// Writes one line-bounded piece through the tree (see
-    /// [`read_piece`](Segment::read_piece)).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn write_piece(
-        &mut self,
-        path: &[usize],
-        cpu: usize,
-        piece_addr: u64,
-        piece: &[u8],
-        line: LineAddr,
+        piece: Piece<'_>,
         depth: usize,
         errors: &mut Vec<ParentError>,
     ) {
         let child = path[0];
         let offset = (piece_addr - line) as usize;
         if self.children[child].degraded() {
-            self.degraded_write(child, line, offset, piece, depth, errors);
+            match piece {
+                Piece::Read(len, out) => {
+                    self.degraded_read(child, line, offset, len, out, depth, errors);
+                }
+                Piece::Write(bytes) => {
+                    self.degraded_write(child, line, offset, bytes, depth, errors);
+                }
+            }
             return;
         }
-        self.ensure(child, line, Some((offset, piece)), depth, errors);
+        let write = match piece {
+            Piece::Write(bytes) => Some((offset, bytes)),
+            Piece::Read(..) => None,
+        };
+        self.ensure(child, line, write, depth, errors);
         match &mut self.children[child].node {
-            FabricNode::Leaf(fabric) => {
-                fabric.write_with(cpu, piece_addr, piece, |_, _| {});
-            }
+            FabricNode::Leaf(fabric) => match piece {
+                Piece::Read(len, None) => fabric.read_dataless(cpu, piece_addr, len),
+                Piece::Read(len, out) => fabric.read_into(cpu, piece_addr, len, out),
+                Piece::Write(bytes) => fabric.write_fast(cpu, piece_addr, bytes),
+            },
             FabricNode::Interior(seg) => {
                 assert!(path.len() > 1, "access path stops at an interior segment");
-                seg.write_piece(&path[1..], cpu, piece_addr, piece, line, depth + 1, errors);
+                seg.access_piece(&path[1..], cpu, piece_addr, line, piece, depth + 1, errors);
             }
         }
     }
@@ -400,7 +387,7 @@ pub struct Bridge {
     /// Depth of the bus this bridge attaches to (root bus = 0).
     pub(super) level: usize,
     pub(super) node: FabricNode,
-    pub(super) directory: HashMap<LineAddr, LineState>,
+    pub(super) directory: HashMap<LineAddr, LineState, BuildHasherDefault<LineHasher>>,
     pub(super) pending: Option<(LineAddr, Option<BusReaction>)>,
     pub(super) stats: BridgeStats,
     pub(super) degraded: bool,
@@ -414,7 +401,7 @@ impl Bridge {
             id,
             level,
             node,
-            directory: HashMap::new(),
+            directory: HashMap::default(),
             pending: None,
             stats: BridgeStats::default(),
             degraded: false,
@@ -537,15 +524,16 @@ impl Bridge {
         }
     }
 
-    /// Decides what parent-bus traffic must precede an intra-subtree access,
-    /// following Table 1 at cluster granularity.
+    /// Decides what parent-bus traffic must precede an intra-subtree access
+    /// (a write at `write_offset`, else a read), following Table 1 at
+    /// cluster granularity.
     pub(super) fn prepare(
         &mut self,
         line: LineAddr,
-        write: Option<(usize, &[u8])>,
+        write_offset: Option<usize>,
     ) -> Option<ParentNeed> {
         let ext = self.cluster_state(line);
-        match write {
+        match write_offset {
             None => {
                 if ext.is_valid() {
                     None
@@ -557,7 +545,7 @@ impl Bridge {
                     })
                 }
             }
-            Some((offset, bytes)) => match ext {
+            Some(offset) => match ext {
                 // Table 1, M/Write: silent.
                 LineState::Modified => None,
                 // Table 1, E/Write: silent upgrade at cluster level.
@@ -566,10 +554,7 @@ impl Bridge {
                     None
                 }
                 // Table 1, O/S Write (preferred): broadcast the change.
-                LineState::Owned | LineState::Shareable => Some(ParentNeed::Broadcast {
-                    offset,
-                    bytes: bytes.to_vec(),
-                }),
+                LineState::Owned | LineState::Shareable => Some(ParentNeed::Broadcast { offset }),
                 // Table 1, I/Write (preferred): read-for-modify.
                 LineState::Invalid => Some(ParentNeed::Fetch {
                     signals: MasterSignals::CA_IM,
@@ -580,8 +565,14 @@ impl Bridge {
     }
 
     /// Applies the outcome of the parent transaction [`Bridge::prepare`]
-    /// requested.
-    pub(super) fn commit(&mut self, line: LineAddr, need: &ParentNeed, out: &TransactionOutcome) {
+    /// requested; `payload` is the written bytes of a broadcast.
+    pub(super) fn commit(
+        &mut self,
+        line: LineAddr,
+        need: &ParentNeed,
+        out: &TransactionOutcome,
+        payload: &[u8],
+    ) {
         self.stats.parent_transactions += 1;
         match need {
             ParentNeed::Fetch { for_write, .. } => {
@@ -598,10 +589,10 @@ impl Bridge {
                 };
                 self.set_cluster_state(line, ext);
             }
-            ParentNeed::Broadcast { offset, bytes } => {
+            ParentNeed::Broadcast { offset } => {
                 self.stats.broadcasts += 1;
                 // Keep the mirror in step with what the siblings saw.
-                self.mirror_mut().write_bytes(line, *offset, bytes);
+                self.mirror_mut().write_bytes(line, *offset, payload);
                 let ext = if out.ch_seen {
                     LineState::Owned
                 } else {
@@ -856,7 +847,6 @@ impl BusModule for Bridge {
             self.pending = Some((req.addr, None));
             return ResponseSignals::NONE;
         }
-        self.stats.filter_hits += 1;
         self.stats.forwarded += 1;
         let event = BusEvent::from_signals(req.signals).expect("legal parent signals");
         // Table 2's error-condition cells ((M, CBW) and (E, CBW)) are

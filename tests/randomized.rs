@@ -306,7 +306,6 @@ fn deep_tree_snoop_filter_is_invisible_and_inclusion_holds() {
                     s.snooped,
                     "ledger leaked a snoop"
                 );
-                assert!(s.filter_hits <= s.forwarded);
                 if !filter {
                     assert_eq!(s.suppressed, 0, "disabled filter must forward everything");
                 }
