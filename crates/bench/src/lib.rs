@@ -1,9 +1,9 @@
-//! Shared harness code for the table/figure regeneration binaries and the
-//! Criterion benchmarks.
+//! Shared harness code for the table/figure regeneration binaries, the
+//! `moesi-sim bench` sweeps and the shape tests.
 //!
 //! The experiment index lives in `DESIGN.md`; each experiment id (T1–T7,
-//! F1–F4, E1–E6) maps to a function here, a binary under `src/bin/`, or a
-//! bench under `benches/`.
+//! F1–F4, E1–E11) maps to a function here, a binary under `src/bin/`, or a
+//! test under `tests/`.
 
 #![warn(missing_docs)]
 

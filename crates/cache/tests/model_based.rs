@@ -1,12 +1,16 @@
 //! Model-based testing of `CacheArray`: random operation sequences are
 //! checked against a trivially-correct reference model (a bounded map), so
 //! residency, data, state and LRU behaviour can never silently drift.
+//!
+//! Inputs come from the in-tree `moesi::rng::SmallRng` with fixed seeds, 64
+//! cases per property.
 
 use cache_array::{CacheArray, CacheConfig, ReplacementKind};
-use proptest::prelude::*;
+use moesi::rng::SmallRng;
 use std::collections::HashMap;
 
 const LINE: usize = 16;
+const CASES: u64 = 64;
 
 /// A reference model: line -> (state, data), plus an LRU list per set.
 #[derive(Debug, Default)]
@@ -70,33 +74,36 @@ enum Op {
     SetState { line: u64, state: u8 },
 }
 
-fn op_strategy(lines: u64) -> impl Strategy<Value = Op> {
-    let line = 0..lines;
-    prop_oneof![
-        (line.clone(), any::<u8>(), any::<u8>()).prop_map(|(line, state, byte)| Op::Fill {
+fn random_op(rng: &mut SmallRng, lines: u64) -> Op {
+    let line = rng.gen_range(0..lines);
+    match rng.gen_range(0u32..6) {
+        0 => Op::Fill {
             line,
-            state,
-            byte
-        }),
-        line.clone().prop_map(|line| Op::Touch { line }),
-        line.clone().prop_map(|line| Op::Invalidate { line }),
-        (line.clone(), 0..LINE, any::<u8>()).prop_map(|(line, offset, byte)| Op::Write {
+            state: rng.next_u64() as u8,
+            byte: rng.next_u64() as u8,
+        },
+        1 => Op::Touch { line },
+        2 => Op::Invalidate { line },
+        3 => Op::Write {
             line,
-            offset,
-            byte
-        }),
-        (line.clone(), 0..LINE).prop_map(|(line, offset)| Op::Read { line, offset }),
-        (line, any::<u8>()).prop_map(|(line, state)| Op::SetState { line, state }),
-    ]
+            offset: rng.gen_range(0..LINE),
+            byte: rng.next_u64() as u8,
+        },
+        4 => Op::Read {
+            line,
+            offset: rng.gen_range(0..LINE),
+        },
+        _ => Op::SetState {
+            line,
+            state: rng.next_u64() as u8,
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn cache_array_agrees_with_the_reference_model(
-        ops in proptest::collection::vec(op_strategy(24), 1..200),
-    ) {
+#[test]
+fn cache_array_agrees_with_the_reference_model() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_mul(0xCAC4E));
         // 8 sets x 2 ways of 16B lines.
         let cfg = CacheConfig::new(256, LINE, 2, ReplacementKind::Lru);
         let sets = cfg.sets();
@@ -104,17 +111,16 @@ proptest! {
         let mut cache: CacheArray<u8> = CacheArray::new(cfg, 7);
         let mut model = Reference::default();
 
-        for op in ops {
+        for step in 0..rng.gen_range(1usize..200) {
+            let op = random_op(&mut rng, 24);
+            let at = format!("case {case} step {step}: {op:?}");
             match op {
                 Op::Fill { line, state, byte } => {
                     let addr = line * LINE as u64;
                     let data = vec![byte; LINE];
                     let victim = cache.fill(addr, state, data.clone().into());
                     let model_victim = model.fill(addr, state, data, sets, ways);
-                    prop_assert_eq!(victim.as_ref().map(|v| v.addr), model_victim);
-                    if let (Some(v), Some(mv)) = (victim, model_victim) {
-                        prop_assert_eq!(v.addr, mv);
-                    }
+                    assert_eq!(victim.map(|v| v.addr), model_victim, "{at}");
                 }
                 Op::Touch { line } => {
                     let addr = line * LINE as u64;
@@ -126,7 +132,7 @@ proptest! {
                 Op::Invalidate { line } => {
                     let addr = line * LINE as u64;
                     let was = cache.invalidate(addr).is_some();
-                    prop_assert_eq!(was, model.invalidate(addr, sets));
+                    assert_eq!(was, model.invalidate(addr, sets), "{at}");
                 }
                 Op::Write { line, offset, byte } => {
                     let addr = line * LINE as u64 + offset as u64;
@@ -134,10 +140,10 @@ proptest! {
                     let base = line * LINE as u64;
                     match model.lines.get_mut(&base) {
                         Some((_, data)) => {
-                            prop_assert!(ok);
+                            assert!(ok, "{at}");
                             data[offset] = byte;
                         }
-                        None => prop_assert!(!ok),
+                        None => assert!(!ok, "{at}"),
                     }
                 }
                 Op::Read { line, offset } => {
@@ -145,58 +151,60 @@ proptest! {
                     let got = cache.read(addr, 1);
                     let base = line * LINE as u64;
                     let expect = model.lines.get(&base).map(|(_, d)| vec![d[offset]]);
-                    prop_assert_eq!(got, expect);
+                    assert_eq!(got, expect, "{at}");
                 }
                 Op::SetState { line, state } => {
                     let addr = line * LINE as u64;
                     let ok = cache.set_state(addr, state);
-                    prop_assert_eq!(ok, model.lines.contains_key(&addr));
+                    assert_eq!(ok, model.lines.contains_key(&addr), "{at}");
                     if let Some((s, _)) = model.lines.get_mut(&addr) {
                         *s = state;
                     }
                 }
             }
             // Global agreement after every operation.
-            prop_assert_eq!(cache.len(), model.lines.len());
+            assert_eq!(cache.len(), model.lines.len(), "{at}");
             for (&addr, (state, data)) in &model.lines {
-                prop_assert_eq!(cache.state_of(addr), Some(*state));
+                assert_eq!(cache.state_of(addr), Some(*state), "{at}");
                 let cached = cache.read(addr, LINE);
-                prop_assert_eq!(cached.as_deref(), Some(data.as_slice()));
+                assert_eq!(cached.as_deref(), Some(data.as_slice()), "{at}");
             }
             // Recency ranks agree with the reference LRU order.
             for (set, order) in &model.lru {
                 for (rank, &addr) in order.iter().enumerate() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         cache.recency_rank(addr),
                         Some(rank as u32),
-                        "set {} order {:?}", set, order
+                        "{at}: set {set} order {order:?}"
                     );
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn sector_cache_state_matches_a_flat_map(
-        ops in proptest::collection::vec((0u64..64, any::<bool>(), any::<u8>()), 1..120),
-    ) {
-        use cache_array::SectorCache;
+#[test]
+fn sector_cache_state_matches_a_flat_map() {
+    use cache_array::SectorCache;
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_add(0x5EC7));
         // Fully-associative, large enough never to evict: behaviour must
         // match a flat (subsector -> state) map exactly.
         let mut sc: SectorCache<u8> = SectorCache::new(64, 64, 16);
         let mut model: HashMap<u64, u8> = HashMap::new();
-        for (sub, install, state) in ops {
-            let addr = sub * 16;
-            if install {
-                prop_assert_eq!(sc.install(addr, state), None, "no evictions expected");
+        for _ in 0..rng.gen_range(1usize..120) {
+            let addr = rng.gen_range(0u64..64) * 16;
+            if rng.gen_bool(0.5) {
+                let state = rng.next_u64() as u8;
+                assert_eq!(sc.install(addr, state), None, "no evictions expected");
                 model.insert(addr, state);
             } else {
                 let dropped = sc.invalidate_subsector(addr);
-                prop_assert_eq!(dropped, model.remove(&addr));
+                assert_eq!(dropped, model.remove(&addr));
             }
-            prop_assert_eq!(sc.valid_subsectors(), model.len());
+            assert_eq!(sc.valid_subsectors(), model.len());
             for (&a, &s) in &model {
-                prop_assert_eq!(sc.state_of(a), Some(s));
+                assert_eq!(sc.state_of(a), Some(s));
             }
         }
     }

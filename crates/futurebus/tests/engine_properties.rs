@@ -1,14 +1,18 @@
 //! Property tests of the Futurebus transaction engine's data-path semantics:
 //! the memory-update rules of §2/§4 must hold for arbitrary transaction
 //! sequences against arbitrary snooper responses.
+//!
+//! Inputs come from the in-tree `moesi::rng::SmallRng` with fixed seeds, 64
+//! cases per property.
 
 use futurebus::{
-    BusModule, BusObservation, Futurebus, PushWrite, TimingConfig, TransactionRequest,
+    BusModule, BusObservation, Futurebus, PushWrite, RetryPolicy, TimingConfig, TransactionRequest,
 };
+use moesi::rng::SmallRng;
 use moesi::{MasterSignals, ResponseSignals};
-use proptest::prelude::*;
 
 const LINE: usize = 16;
+const CASES: u64 = 64;
 
 /// A snooper scripted by a response list, recording everything it observes.
 struct Scripted {
@@ -37,15 +41,15 @@ impl BusModule for Scripted {
         self.cursor += 1;
         r
     }
-    fn supply_line(&mut self, _addr: u64) -> Box<[u8]> {
-        self.line.clone().into_boxed_slice()
+    fn supply_line(&mut self, _addr: u64) -> Option<Box<[u8]>> {
+        Some(self.line.clone().into_boxed_slice())
     }
-    fn prepare_push(&mut self, _addr: u64) -> PushWrite {
+    fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
         self.pushes += 1;
-        PushWrite {
+        Some(PushWrite {
             data: self.line.clone().into_boxed_slice(),
             signals: MasterSignals::CA,
-        }
+        })
     }
     fn complete(&mut self, _req: &TransactionRequest, obs: &BusObservation<'_>) {
         if let Some((_, bytes)) = obs.write_data {
@@ -54,16 +58,16 @@ impl BusModule for Scripted {
     }
 }
 
-fn response_strategy() -> impl Strategy<Value = ResponseSignals> {
+fn random_response(rng: &mut SmallRng) -> ResponseSignals {
     // No BS here (push loops are tested separately); at most one DI asserted
     // per transaction is the caller's responsibility, tested below with a
     // single snooper.
-    (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(ch, di, sl)| ResponseSignals {
-        ch,
-        di,
-        sl,
+    ResponseSignals {
+        ch: rng.gen_bool(0.5),
+        di: rng.gen_bool(0.5),
+        sl: rng.gen_bool(0.5),
         bs: false,
-    })
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -81,28 +85,32 @@ enum Txn {
     Invalidate,
 }
 
-fn txn_strategy() -> impl Strategy<Value = Txn> {
-    prop_oneof![
-        (any::<bool>(), any::<bool>()).prop_map(|(ca, im)| Txn::Read { ca, im }),
-        (0..LINE, 1..4usize, any::<bool>(), any::<bool>()).prop_map(|(offset, len, bc, ca)| {
+fn random_txn(rng: &mut SmallRng) -> Txn {
+    match rng.gen_range(0u32..3) {
+        0 => Txn::Read {
+            ca: rng.gen_bool(0.5),
+            im: rng.gen_bool(0.5),
+        },
+        1 => {
+            let len = rng.gen_range(1..4usize);
             Txn::Write {
-                offset: offset.min(LINE - len),
+                offset: rng.gen_range(0..LINE).min(LINE - len),
                 len,
-                bc,
-                ca,
+                bc: rng.gen_bool(0.5),
+                ca: rng.gen_bool(0.5),
             }
-        }),
-        Just(Txn::Invalidate),
-    ]
+        }
+        _ => Txn::Invalidate,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn memory_update_rules_hold_for_any_sequence(
-        txns in proptest::collection::vec((txn_strategy(), response_strategy()), 1..40),
-    ) {
+#[test]
+fn memory_update_rules_hold_for_any_sequence() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_mul(0xB05));
+        let txns: Vec<(Txn, ResponseSignals)> = (0..rng.gen_range(1usize..40))
+            .map(|_| (random_txn(&mut rng), random_response(&mut rng)))
+            .collect();
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
         // Shadow of what memory must contain.
         let mut shadow = [0u8; LINE];
@@ -118,17 +126,22 @@ proptest! {
                         .execute(&TransactionRequest::read(1, addr, signals), &mut mods)
                         .expect("read");
                     // Reads never modify memory.
-                    prop_assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..], "txn {}", i);
+                    assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..], "txn {}", i);
                     // Data came from the DI snooper or from memory.
                     let data = out.data.expect("reads return data");
                     if response.di {
-                        prop_assert_eq!(&data[..], &[0xAB; LINE][..]);
+                        assert_eq!(&data[..], &[0xAB; LINE][..]);
                     } else {
-                        prop_assert_eq!(&data[..], &shadow[..]);
+                        assert_eq!(&data[..], &shadow[..]);
                     }
-                    prop_assert_eq!(out.ch_seen, response.ch);
+                    assert_eq!(out.ch_seen, response.ch);
                 }
-                Txn::Write { offset, len, bc, ca } => {
+                Txn::Write {
+                    offset,
+                    len,
+                    bc,
+                    ca,
+                } => {
                     let bytes = vec![i as u8; len];
                     let signals = MasterSignals::new(ca, true, bc);
                     bus.execute(
@@ -141,18 +154,15 @@ proptest! {
                         // receive the payload.
                         shadow[offset..offset + len].copy_from_slice(&bytes);
                         if response.sl {
-                            prop_assert_eq!(
-                                snooper.seen_payloads.last(),
-                                Some(&bytes)
-                            );
+                            assert_eq!(snooper.seen_payloads.last(), Some(&bytes));
                         }
                     } else if response.di {
                         // Captured: memory untouched, owner got the payload.
-                        prop_assert_eq!(snooper.seen_payloads.last(), Some(&bytes));
+                        assert_eq!(snooper.seen_payloads.last(), Some(&bytes));
                     } else {
                         shadow[offset..offset + len].copy_from_slice(&bytes);
                     }
-                    prop_assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..], "txn {}", i);
+                    assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..], "txn {}", i);
                 }
                 Txn::Invalidate => {
                     bus.execute(
@@ -160,16 +170,20 @@ proptest! {
                         &mut mods,
                     )
                     .expect("invalidate");
-                    prop_assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..]);
+                    assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..]);
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn stats_add_up_for_any_sequence(
-        txns in proptest::collection::vec(txn_strategy(), 1..40),
-    ) {
+#[test]
+fn stats_add_up_for_any_sequence() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_add(0x57A7));
+        let txns: Vec<Txn> = (0..rng.gen_range(1usize..40))
+            .map(|_| random_txn(&mut rng))
+            .collect();
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
         let mut reads = 0u64;
         let mut writes = 0u64;
@@ -184,7 +198,12 @@ proptest! {
                     .expect("read");
                     reads += 1;
                 }
-                Txn::Write { offset, len, bc, ca } => {
+                Txn::Write {
+                    offset,
+                    len,
+                    bc,
+                    ca,
+                } => {
                     bus.execute(
                         &TransactionRequest::write(
                             0,
@@ -209,35 +228,54 @@ proptest! {
             }
         }
         let s = bus.stats();
-        prop_assert_eq!(s.reads, reads);
-        prop_assert_eq!(s.writes, writes);
-        prop_assert_eq!(s.address_only, invals);
-        prop_assert_eq!(s.transactions, reads + writes + invals);
-        prop_assert!(s.busy_ns > 0);
+        assert_eq!(s.reads, reads);
+        assert_eq!(s.writes, writes);
+        assert_eq!(s.address_only, invals);
+        assert_eq!(s.transactions, reads + writes + invals);
+        assert!(s.busy_ns > 0);
     }
+}
 
-    #[test]
-    fn bs_push_rounds_always_converge_or_error(
-        pre_aborts in 0usize..6,
-    ) {
+#[test]
+fn bs_push_rounds_always_converge_or_error() {
+    // With a retry limit of 4, the abort count cycles through every value
+    // the limit allows and the first it refuses; the line address is drawn
+    // per case.
+    const LIMIT: usize = 4;
+    let mut rng = SmallRng::seed_from_u64(0xB5);
+    for case in 0..CASES {
+        let pre_aborts = (case % (LIMIT as u64 + 2)) as usize;
+        let addr = rng.gen_range(0u64..1024) * LINE as u64;
         // A snooper that aborts `pre_aborts` times before settling.
-        let mut responses =
-            vec![ResponseSignals { bs: true, ..ResponseSignals::NONE }; pre_aborts];
+        let mut responses = vec![
+            ResponseSignals {
+                bs: true,
+                ..ResponseSignals::NONE
+            };
+            pre_aborts
+        ];
         responses.push(ResponseSignals::CH);
         let mut snooper = Scripted::new(responses);
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
+        bus.set_retry_policy(RetryPolicy {
+            max_retries: LIMIT as u32,
+            ..RetryPolicy::default()
+        });
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut snooper];
-        let result = bus.execute(&TransactionRequest::read(1, 0, MasterSignals::CA), &mut mods);
-        if pre_aborts <= 4 {
+        let result = bus.execute(
+            &TransactionRequest::read(1, addr, MasterSignals::CA),
+            &mut mods,
+        );
+        if pre_aborts <= LIMIT {
             let out = result.expect("within the retry limit");
-            prop_assert_eq!(out.aborts as usize, pre_aborts);
-            prop_assert_eq!(snooper.pushes, pre_aborts);
+            assert_eq!(out.aborts as usize, pre_aborts);
+            assert_eq!(snooper.pushes, pre_aborts);
             if pre_aborts > 0 {
                 // The push left the snooper's line in memory.
-                prop_assert_eq!(&out.data.expect("read data")[..], &[0xAB; LINE][..]);
+                assert_eq!(&out.data.expect("read data")[..], &[0xAB; LINE][..]);
             }
         } else {
-            prop_assert!(result.is_err(), "must hit the retry limit");
+            assert!(result.is_err(), "must hit the retry limit");
         }
     }
 }

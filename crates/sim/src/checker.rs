@@ -23,6 +23,7 @@
 //! [`Checker::verify_lines`] checks a chosen set, which is how the machines
 //! audit each access: only the lines it touched can have changed.
 
+use cache_array::line_pieces;
 use futurebus::{LineHasher, SparseMemory};
 use moesi::LineState;
 use std::collections::{BTreeSet, HashMap};
@@ -178,15 +179,10 @@ impl Checker {
     #[must_use]
     pub fn golden_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = cur & !(self.line_size as u64 - 1);
-            let offset = (cur - line) as usize;
-            let take = (self.line_size - offset).min(remaining);
+        for (piece, take) in line_pieces(addr, len, self.line_size) {
+            let line = piece & !(self.line_size as u64 - 1);
+            let offset = (piece - line) as usize;
             out.extend_from_slice(&self.golden_line(line)[offset..offset + take]);
-            cur += take as u64;
-            remaining -= take;
         }
         out
     }

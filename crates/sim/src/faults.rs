@@ -32,7 +32,7 @@ use std::fmt;
 use crate::checker::Checker;
 use crate::controller::CacheController;
 use crate::fabric::Fabric;
-use crate::hierarchy::{HierarchicalSystem, HierarchyBuilder, ParentError, TreeBuilder};
+use crate::hierarchy::{HierarchicalSystem, ParentError, TreeBuilder};
 
 /// How a campaign classified one injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -923,57 +923,23 @@ fn run_hierarchy_one(
 ) -> Result<HierarchyRun, String> {
     // Validate the protocol name once, outside the builder closures.
     by_name(name, 0).ok_or_else(|| format!("unknown protocol `{name}`"))?;
-    let mut sys = if cfg.depth == 2 {
-        let mut builder = HierarchyBuilder::new(cfg.line_size)
-            .checking(true)
-            .seed(cfg.seed.wrapping_add(run_idx));
-        for _ in 0..cfg.clusters {
-            builder = builder.cluster();
-            for cpu in 0..cfg.cpus {
-                let protocol =
-                    by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
-                if protocol.kind() == CacheKind::NonCaching {
-                    builder = builder.uncached(protocol);
-                } else {
-                    builder = builder.cache(
-                        protocol,
-                        CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru),
-                    );
-                }
-            }
-        }
-        builder.build()
-    } else {
-        TreeBuilder::uniform(
-            cfg.line_size,
-            cfg.clusters,
-            cfg.depth,
-            cfg.fanout,
-            cfg.cpus,
-            {
-                |_, cpu| {
-                    let protocol =
-                        by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
-                    if protocol.kind() == CacheKind::NonCaching {
-                        (protocol, None)
-                    } else {
-                        (
-                            protocol,
-                            Some(CacheConfig::new(
-                                cfg.cache_bytes,
-                                cfg.line_size,
-                                2,
-                                ReplacementKind::Lru,
-                            )),
-                        )
-                    }
-                }
-            },
-        )
-        .checking(true)
-        .seed(cfg.seed.wrapping_add(run_idx))
-        .build()
-    };
+    let cache = CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru);
+    let mut sys = TreeBuilder::uniform(
+        cfg.line_size,
+        cfg.clusters,
+        cfg.depth,
+        cfg.fanout,
+        cfg.cpus,
+        |_, cpu| {
+            let protocol =
+                by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
+            let cache = (protocol.kind() != CacheKind::NonCaching).then_some(cache);
+            (protocol, cache)
+        },
+    )
+    .checking(true)
+    .seed(cfg.seed.wrapping_add(run_idx))
+    .build();
     let leaves = sys.leaves();
     let leaf_paths = sys.leaf_paths();
     // The campaign owns verification: reported damage is reconciled first,

@@ -42,14 +42,14 @@ use std::fmt;
 mod builder;
 mod node;
 
-pub use builder::{HierarchyBuilder, TreeBuilder, TreeSpec};
+pub use builder::{TreeBuilder, TreeSpec};
 use node::Piece;
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
 use crate::checker::{matches_golden, Checker, Violation};
 use crate::fabric::Fabric;
 use crate::metrics::CpuStats;
-use crate::workload::{Access, RefStream};
+use crate::workload::{with_seq_payload, Access, RefStream};
 
 /// Which parent-bus transaction a bridge was running when it failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,8 +124,9 @@ impl fmt::Display for ParentError {
 
 /// A hierarchical multiprocessor: a fabric tree of bus segments whose root
 /// bus owns true main memory. The classic shape is two levels (clusters of
-/// caches joined by one parent bus), built by [`HierarchyBuilder`]; deeper
-/// trees come from [`TreeBuilder`].
+/// caches joined by one parent bus): a [`TreeBuilder`] whose root children
+/// are all [`TreeSpec::leaf`] clusters. Deeper trees nest
+/// [`TreeSpec::interior`] segments.
 #[derive(Debug)]
 pub struct HierarchicalSystem {
     root: Segment,
@@ -750,19 +751,9 @@ impl HierarchicalSystem {
     fn dispatch_access(&mut self, path: &[usize], cpu: usize, access: &Access, seq: &mut u32) {
         if access.is_write {
             *seq = seq.wrapping_add(1);
-            let pattern = seq.to_le_bytes();
-            let mut stack = [0u8; 64];
-            let mut heap = Vec::new();
-            let bytes = if access.size <= stack.len() {
-                &mut stack[..access.size]
-            } else {
-                heap.resize(access.size, 0);
-                &mut heap[..]
-            };
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = pattern[i % pattern.len()];
-            }
-            self.write_at(path, cpu, access.addr, bytes);
+            with_seq_payload(*seq, access.size, |bytes| {
+                self.write_at(path, cpu, access.addr, bytes);
+            });
         } else if self.checker.is_none() {
             self.read_pieces(path, cpu, access.addr, access.size, None);
         } else {
@@ -792,16 +783,11 @@ impl HierarchicalSystem {
     #[must_use]
     pub fn parent_memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = self.line_addr(cur);
-            let offset = (cur - line) as usize;
-            let take = (self.line_size - offset).min(remaining);
+        for (piece, take) in line_pieces(addr, len, self.line_size) {
+            let line = self.line_addr(piece);
+            let offset = (piece - line) as usize;
             let data = self.root.bus.memory().peek_line(line);
             out.extend_from_slice(&data[offset..offset + take]);
-            cur += take as u64;
-            remaining -= take;
         }
         out
     }
@@ -1238,14 +1224,17 @@ mod tests {
         CacheConfig::new(1024, 32, 2, ReplacementKind::Lru)
     }
 
+    /// A leaf cluster of `n` MOESI caches.
+    fn moesi_leaf(n: usize) -> TreeSpec {
+        (0..n).fold(TreeSpec::leaf(), |leaf, _| {
+            leaf.cache(Box::new(MoesiPreferred::new()), cfg())
+        })
+    }
+
     fn two_by_two() -> HierarchicalSystem {
-        HierarchyBuilder::new(32)
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+        TreeBuilder::new(32)
+            .child(moesi_leaf(2))
+            .child(moesi_leaf(2))
             .checking(true)
             .build()
     }
@@ -1341,13 +1330,10 @@ mod tests {
 
     #[test]
     fn three_clusters_ownership_ring() {
-        let mut sys = HierarchyBuilder::new(32)
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+        let mut sys = TreeBuilder::new(32)
+            .child(moesi_leaf(1))
+            .child(moesi_leaf(1))
+            .child(moesi_leaf(1))
             .checking(true)
             .build();
         for round in 0..9u32 {
@@ -1397,13 +1383,17 @@ mod tests {
     #[test]
     fn heterogeneous_clusters_work() {
         use moesi::protocols::{Dragon, NonCaching, WriteThrough};
-        let mut sys = HierarchyBuilder::new(32)
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(WriteThrough::new()), cfg())
-            .cluster()
-            .cache(Box::new(Dragon::new()), cfg())
-            .uncached(Box::new(NonCaching::new()))
+        let mut sys = TreeBuilder::new(32)
+            .child(
+                TreeSpec::leaf()
+                    .cache(Box::new(MoesiPreferred::new()), cfg())
+                    .cache(Box::new(WriteThrough::new()), cfg()),
+            )
+            .child(
+                TreeSpec::leaf()
+                    .cache(Box::new(Dragon::new()), cfg())
+                    .uncached(Box::new(NonCaching::new())),
+            )
             .checking(true)
             .build();
         for i in 0..30u32 {
@@ -1443,9 +1433,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "call .cluster() first")]
+    #[should_panic(expected = "cache nodes belong to leaf clusters")]
     fn nodes_require_a_cluster() {
-        let _ = HierarchyBuilder::new(32).cache(Box::new(MoesiPreferred::new()), cfg());
+        let _ = TreeSpec::interior(Vec::new()).cache(Box::new(MoesiPreferred::new()), cfg());
     }
 
     /// A parent bus that errors every transaction: a full-rate abort storm
@@ -1852,44 +1842,6 @@ mod tests {
         }
         assert_eq!(sys.make_globally_consistent(), 0, "idempotent");
         sys.verify().expect("post-sync tree consistent");
-    }
-
-    #[test]
-    fn tree_builder_two_level_matches_hierarchy_builder() {
-        // The wrapper and the general builder must produce behaviourally
-        // identical two-level machines.
-        let mut a = two_by_two();
-        let mut b = TreeBuilder::new(32)
-            .child(
-                TreeSpec::leaf()
-                    .cache(Box::new(MoesiPreferred::new()), cfg())
-                    .cache(Box::new(MoesiPreferred::new()), cfg()),
-            )
-            .child(
-                TreeSpec::leaf()
-                    .cache(Box::new(MoesiPreferred::new()), cfg())
-                    .cache(Box::new(MoesiPreferred::new()), cfg()),
-            )
-            .checking(true)
-            .build();
-        for i in 0..40u32 {
-            let cluster = (i % 2) as usize;
-            let cpu = ((i / 2) % 2) as usize;
-            let addr = 0x1000 + u64::from(i % 5) * 32;
-            if i % 3 == 0 {
-                a.write(cluster, cpu, addr, &i.to_le_bytes());
-                b.write(cluster, cpu, addr, &i.to_le_bytes());
-            } else {
-                assert_eq!(
-                    a.read(cluster, cpu, addr, 4),
-                    b.read(cluster, cpu, addr, 4),
-                    "step {i}"
-                );
-            }
-        }
-        assert_eq!(a.parent_stats().transactions, b.parent_stats().transactions);
-        a.verify().expect("consistent");
-        b.verify().expect("consistent");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! every invariant concerns one line. The access engine itself lives in
 //! [`Fabric`](crate::Fabric).
 
-use cache_array::CacheConfig;
+use cache_array::{line_pieces, CacheConfig};
 use futurebus::{BusStats, TimingConfig};
 use moesi::{CacheKind, LineState, Protocol};
 
@@ -19,7 +19,7 @@ use crate::controller::CacheController;
 use crate::engine::{EventQueue, Popped};
 use crate::fabric::Fabric;
 use crate::metrics::{CpuStats, MachineReport};
-use crate::workload::{Access, RefStream};
+use crate::workload::{with_seq_payload, Access, RefStream};
 
 /// Builds a [`System`].
 ///
@@ -379,18 +379,12 @@ impl System {
     /// [`make_all_consistent`]: System::make_all_consistent
     #[must_use]
     pub fn memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
-        let line_size = self.fabric.line_size();
         let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = self.fabric.line_addr(cur);
-            let offset = (cur - line) as usize;
-            let take = (line_size - offset).min(remaining);
+        for (piece, take) in line_pieces(addr, len, self.fabric.line_size()) {
+            let line = self.fabric.line_addr(piece);
+            let offset = (piece - line) as usize;
             let data = self.fabric.bus().memory().peek_line(line);
             out.extend_from_slice(&data[offset..offset + take]);
-            cur += take as u64;
-            remaining -= take;
         }
         out
     }
@@ -494,27 +488,13 @@ impl System {
     fn dispatch_access(&mut self, cpu: usize, access: &Access) {
         if access.is_write {
             self.write_seq = self.write_seq.wrapping_add(1);
-            let pattern = self.write_seq.to_le_bytes();
-            if self.checker.is_none() {
-                let mut buf = [0u8; 64];
-                if access.size <= buf.len() {
-                    for (i, b) in buf[..access.size].iter_mut().enumerate() {
-                        *b = pattern[i % pattern.len()];
-                    }
-                    self.fabric
-                        .write_fast(cpu, access.addr, &buf[..access.size]);
+            with_seq_payload(self.write_seq, access.size, |bytes| {
+                if self.checker.is_none() {
+                    self.fabric.write_fast(cpu, access.addr, bytes);
                 } else {
-                    let bytes: Vec<u8> = (0..access.size)
-                        .map(|i| pattern[i % pattern.len()])
-                        .collect();
-                    self.fabric.write_fast(cpu, access.addr, &bytes);
+                    self.write(cpu, access.addr, bytes);
                 }
-            } else {
-                let bytes: Vec<u8> = (0..access.size)
-                    .map(|i| pattern[i % pattern.len()])
-                    .collect();
-                self.write(cpu, access.addr, &bytes);
-            }
+            });
         } else if self.checker.is_none() {
             self.fabric.read_dataless(cpu, access.addr, access.size);
         } else {
@@ -739,11 +719,9 @@ impl System {
             let access = streams[cpu].next_access();
             if access.is_write {
                 self.write_seq = self.write_seq.wrapping_add(1);
-                let pattern = self.write_seq.to_le_bytes();
-                let bytes: Vec<u8> = (0..access.size)
-                    .map(|i| pattern[i % pattern.len()])
-                    .collect();
-                self.write(cpu, access.addr, &bytes);
+                with_seq_payload(self.write_seq, access.size, |bytes| {
+                    self.write(cpu, access.addr, bytes);
+                });
             } else {
                 let _ = self.read(cpu, access.addr, access.size);
             }

@@ -43,6 +43,25 @@ impl Access {
     }
 }
 
+/// Hands `f` the payload the run loops write for sequence number `seq`: its
+/// little-endian bytes repeated over `size` bytes. Payloads of up to 64
+/// bytes are built on the stack.
+pub(crate) fn with_seq_payload<R>(seq: u32, size: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+    let pattern = seq.to_le_bytes();
+    let mut stack = [0u8; 64];
+    let mut heap = Vec::new();
+    let bytes = if size <= stack.len() {
+        &mut stack[..size]
+    } else {
+        heap.resize(size, 0);
+        &mut heap[..]
+    };
+    for (i, b) in bytes.iter_mut().enumerate() {
+        *b = pattern[i % pattern.len()];
+    }
+    f(bytes)
+}
+
 /// An endless per-processor reference stream.
 pub trait RefStream {
     /// Produces the next access for this processor.

@@ -9,7 +9,7 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::MoesiPreferred;
-use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder};
+use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::workload::{DuboisBriggs, SharingModel};
 use mpsim::{RefStream, SystemBuilder};
 
@@ -23,12 +23,13 @@ fn cfg() -> CacheConfig {
 }
 
 fn build_hierarchy() -> HierarchicalSystem {
-    let mut b = HierarchyBuilder::new(LINE).checking(true);
+    let mut b = TreeBuilder::new(LINE).checking(true);
     for _ in 0..CLUSTERS {
-        b = b.cluster();
+        let mut cluster = TreeSpec::leaf();
         for _ in 0..CPUS_PER_CLUSTER {
-            b = b.cache(Box::new(MoesiPreferred::new()), cfg());
+            cluster = cluster.cache(Box::new(MoesiPreferred::new()), cfg());
         }
+        b = b.child(cluster);
     }
     b.build()
 }

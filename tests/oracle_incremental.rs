@@ -20,7 +20,7 @@ use moesi::{
     BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable, Protocol,
     ResultState, TablePolicy,
 };
-use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder, TreeBuilder};
+use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::replay::{replay, ReplayOp, Trace};
 use mpsim::{System, SystemBuilder, Violation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -339,13 +339,14 @@ fn a_dropped_dirty_victim_is_flagged_on_the_victim_line() {
 #[test]
 fn a_dropped_dirty_victim_inside_a_cluster_is_flagged_on_the_victim_line() {
     let (dirty, other) = (BASE, BASE + 0x100);
-    let mut sys = HierarchyBuilder::new(LINE)
+    let mut sys = TreeBuilder::new(LINE)
         .checking(true)
-        .cluster()
-        .cache(Box::new(MoesiPreferred::new()), one_line_cache())
-        .cache(victim_dropper(), one_line_cache())
-        .cluster()
-        .cache(Box::new(MoesiPreferred::new()), one_line_cache())
+        .child(
+            TreeSpec::leaf()
+                .cache(Box::new(MoesiPreferred::new()), one_line_cache())
+                .cache(victim_dropper(), one_line_cache()),
+        )
+        .child(TreeSpec::leaf().cache(Box::new(MoesiPreferred::new()), one_line_cache()))
         .build();
     sys.try_write_at(&[0], 0, dirty, &[9; 4]).unwrap();
     sys.try_read_at(&[0], 1, dirty, 4).unwrap();

@@ -1,12 +1,10 @@
-//! Plain-harness ports of the highest-value property tests.
+//! Randomized properties over the whole stack: random operation sequences
+//! against mixed-protocol flat machines and fabric trees must preserve the
+//! shared memory image, a tree must be observationally identical to a flat
+//! machine, and the pure layers must uphold their structural invariants.
 //!
-//! The original proptest suites (`tests/properties.rs`,
-//! `tests/hierarchy_properties.rs`) are feature-gated behind `proptest`,
-//! which needs registry access to build. These ports keep the same
-//! properties exercised offline: inputs come from the in-tree
-//! `moesi::rng::SmallRng` instead of proptest strategies, with fixed seeds
-//! for reproducibility and enough iterations to match the original case
-//! counts.
+//! Inputs come from the in-tree `moesi::rng::SmallRng` with fixed seeds, so
+//! every case is reproducible and the suite builds offline.
 
 use cache_array::{split_line_crossers, CacheConfig, ReplacementKind};
 use moesi::protocols::{
@@ -14,7 +12,8 @@ use moesi::protocols::{
     WriteThrough,
 };
 use moesi::rng::SmallRng;
-use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent};
+use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent, Protocol};
+use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -243,20 +242,159 @@ fn sector_cache_valid_subsectors_never_exceed_capacity() {
     }
 }
 
+#[test]
+fn protocol_trait_objects_are_usable_generically() {
+    // C-OBJECT: the Protocol trait must work as a trait object.
+    let mut protocols: Vec<Box<dyn Protocol + Send>> = vec![
+        Box::new(MoesiPreferred::new()),
+        Box::new(Dragon::new()),
+        Box::new(WriteThrough::new()),
+    ];
+    for p in &mut protocols {
+        let _ = p.name();
+        let _ = p.kind();
+        let a = p.on_local(
+            LineState::Invalid,
+            LocalEvent::Read,
+            &moesi::LocalCtx::default(),
+        );
+        assert!(a.bus_op.uses_bus());
+    }
+}
+
+/// The `i`-th node's protocol in the tree-vs-flat properties.
+fn protocol(i: usize) -> Box<dyn Protocol + Send> {
+    match i % 4 {
+        0 => Box::new(MoesiPreferred::new()),
+        1 => Box::new(MoesiInvalidating::new()),
+        2 => Box::new(Dragon::new()),
+        _ => Box::new(WriteThrough::new()),
+    }
+}
+
+/// A two-level tree of `shape[c]` caches per leaf cluster, protocols
+/// cycling, oracle on.
+fn two_level(shape: &[usize]) -> HierarchicalSystem {
+    let mut b = TreeBuilder::new(LINE).checking(true);
+    let mut k = 0;
+    for &nodes in shape {
+        let mut leaf = TreeSpec::leaf();
+        for _ in 0..nodes {
+            leaf = leaf.cache(protocol(k), cfg());
+            k += 1;
+        }
+        b = b.child(leaf);
+    }
+    b.build()
+}
+
+/// A flat machine with the same nodes in the same order.
+fn flat(shape: &[usize]) -> System {
+    let mut b = SystemBuilder::new(LINE).checking(true);
+    for k in 0..shape.iter().sum() {
+        b = b.cache(protocol(k), cfg());
+    }
+    b.build()
+}
+
+/// Maps a flat node index to (cluster, cpu) under `shape`.
+fn locate(shape: &[usize], node: usize) -> (usize, usize) {
+    let mut remaining = node;
+    for (cluster, &n) in shape.iter().enumerate() {
+        if remaining < n {
+            return (cluster, remaining);
+        }
+        remaining -= n;
+    }
+    unreachable!("node index within total");
+}
+
+/// One random tree access: a node, a 4-byte-aligned address among six
+/// lines, and a value when it is a write.
+fn random_access(rng: &mut SmallRng, nodes: usize) -> (usize, u64, Option<u8>) {
+    let node = rng.gen_range(0..nodes);
+    let addr = 0x1000 + rng.gen_range(0u64..6) * LINE as u64 + rng.gen_range(0u64..7) * 4;
+    let write = rng.gen_bool(0.5).then(|| rng.next_u64() as u8);
+    (node, addr, write)
+}
+
+#[test]
+fn hierarchy_and_flat_machine_observe_identical_values() {
+    for shape in [&[2usize, 2][..], &[1, 3], &[2, 1, 1]] {
+        for case in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(case.wrapping_mul(0x71EE) ^ shape.len() as u64);
+            let mut tree = two_level(shape);
+            let mut plain = flat(shape);
+            for _ in 0..rng.gen_range(1usize..80) {
+                let (node, addr, write) = random_access(&mut rng, 4);
+                let (cluster, cpu) = locate(shape, node);
+                match write {
+                    Some(v) => {
+                        tree.write(cluster, cpu, addr, &[v; 4]);
+                        plain.write(node, addr, &[v; 4]);
+                    }
+                    None => assert_eq!(
+                        tree.read(cluster, cpu, addr, 4),
+                        plain.read(node, addr, 4),
+                        "shape {shape:?} case {case}: observational divergence at {addr:#x}"
+                    ),
+                }
+            }
+            assert!(tree.verify().is_ok());
+            assert!(plain.verify().is_ok());
+        }
+    }
+}
+
+#[test]
+fn random_ops_with_global_sync_stay_consistent() {
+    let shape = &[2usize, 2];
+    for case in 0..16u64 {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_add(0x5C));
+        let sync_every = rng.gen_range(5usize..20);
+        let mut sys = two_level(shape);
+        for i in 0..rng.gen_range(1usize..80) {
+            let (node, addr, write) = random_access(&mut rng, 4);
+            let (cluster, cpu) = locate(shape, node);
+            match write {
+                Some(v) => sys.write(cluster, cpu, addr, &[v; 4]),
+                None => {
+                    let _ = sys.read(cluster, cpu, addr, 4);
+                }
+            }
+            if i % sync_every == 0 {
+                sys.make_globally_consistent();
+            }
+        }
+        assert!(sys.verify().is_ok(), "case {case}");
+    }
+}
+
+#[test]
+fn hierarchy_survives_eviction_pressure() {
+    // Tiny caches force evictions inside clusters; write-backs land in the
+    // mirror, ownership stays at cluster level, and everything stays golden.
+    let shape = &[2usize, 2];
+    let mut sys = two_level(shape);
+    for i in 0..120u32 {
+        let (cluster, cpu) = locate(shape, (i % 4) as usize);
+        let addr = 0x1000 + u64::from(i % 24) * LINE as u64;
+        if i % 3 == 0 {
+            sys.write(cluster, cpu, addr, &i.to_le_bytes());
+        } else {
+            let _ = sys.read(cluster, cpu, addr, 4);
+        }
+    }
+    sys.verify().expect("consistent under eviction pressure");
+}
+
 /// A depth-3 fabric tree (2 root subtrees x 2 leaf clusters x 2 caches),
-/// protocols cycling, with the bridges' inclusion snoop filters on or off —
-/// the plain-harness port of the deep-tree hierarchy properties.
-fn deep_tree(filter: bool) -> mpsim::hierarchy::HierarchicalSystem {
+/// protocols cycling, with the bridges' inclusion snoop filters on or off.
+fn deep_tree(filter: bool) -> HierarchicalSystem {
     let mut k = 0usize;
-    mpsim::hierarchy::TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
-        let p: Box<dyn moesi::Protocol + Send> = match k % 4 {
-            0 => Box::new(MoesiPreferred::new()),
-            1 => Box::new(MoesiInvalidating::new()),
-            2 => Box::new(Dragon::new()),
-            _ => Box::new(WriteThrough::new()),
-        };
+    TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
         k += 1;
-        (p, Some(cfg()))
+        (protocol(k - 1), Some(cfg()))
     })
     .snoop_filter(filter)
     .checking(true)
