@@ -11,6 +11,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -26,26 +26,40 @@ pub struct Victim<S> {
     pub data: Box<[u8]>,
 }
 
+/// One way of one set: the resident entry, if any, and its recency rank
+/// among the set's occupied ways — 0 = most recent (LRU) or newest (FIFO),
+/// `occupied - 1` = next victim.
 #[derive(Clone, Debug)]
-struct CacheSet<S> {
-    ways: Vec<Option<Entry<S>>>,
-    /// Occupied way indices; front = most recent (LRU) or newest (FIFO).
-    order: Vec<usize>,
+struct Slot<S> {
+    rank: u32,
+    entry: Option<Entry<S>>,
 }
 
-impl<S> CacheSet<S> {
-    fn new(ways: usize) -> Self {
-        CacheSet {
-            ways: (0..ways).map(|_| None).collect(),
-            order: Vec::with_capacity(ways),
+impl<S> Slot<S> {
+    fn holds(&self, tag: u64) -> bool {
+        self.entry.as_ref().is_some_and(|e| e.tag == tag)
+    }
+}
+
+/// The way holding `tag` in `set`.
+fn way_of<S>(set: &[Slot<S>], tag: u64) -> Option<usize> {
+    set.iter().position(|slot| slot.holds(tag))
+}
+
+/// Moves occupied `way` to rank 0: every occupied way that was more recent
+/// ages by one. A no-op for the way already at the front (the common case
+/// in access streaks).
+fn make_mru<S>(set: &mut [Slot<S>], way: usize) {
+    let rank = set[way].rank;
+    if rank == 0 {
+        return;
+    }
+    for slot in set.iter_mut() {
+        if slot.entry.is_some() && slot.rank < rank {
+            slot.rank += 1;
         }
     }
-
-    fn way_of(&self, tag: u64) -> Option<usize> {
-        self.ways
-            .iter()
-            .position(|w| w.as_ref().is_some_and(|e| e.tag == tag))
-    }
+    set[way].rank = 0;
 }
 
 /// A set-associative cache array, generic over the per-line state type.
@@ -53,6 +67,10 @@ impl<S> CacheSet<S> {
 /// The array is a passive tag/data store: *it makes no protocol decisions*.
 /// The snooping controller in `mpsim` owns the policy; this type owns
 /// geometry, residency, replacement and the §5.2 recency ranks.
+///
+/// Storage is one contiguous slot array, set-major: set `s` is the
+/// `associativity` slots from `s * associativity`, each holding its entry
+/// (tag inline) and its recency rank, so a lookup scans adjacent memory.
 ///
 /// # Examples
 ///
@@ -68,7 +86,7 @@ impl<S> CacheSet<S> {
 pub struct CacheArray<S> {
     config: CacheConfig,
     map: AddressMap,
-    sets: Vec<CacheSet<S>>,
+    slots: Vec<Slot<S>>,
     rng: SmallRng,
     resident: usize,
 }
@@ -81,8 +99,11 @@ impl<S> CacheArray<S> {
         CacheArray {
             config,
             map,
-            sets: (0..config.sets())
-                .map(|_| CacheSet::new(config.associativity))
+            slots: (0..config.sets() * config.associativity)
+                .map(|_| Slot {
+                    rank: 0,
+                    entry: None,
+                })
                 .collect(),
             rng: SmallRng::seed_from_u64(seed),
             resident: 0,
@@ -113,20 +134,36 @@ impl<S> CacheArray<S> {
         self.resident == 0
     }
 
+    fn set(&self, set_idx: usize) -> &[Slot<S>] {
+        let ways = self.config.associativity;
+        &self.slots[set_idx * ways..(set_idx + 1) * ways]
+    }
+
+    fn set_mut(&mut self, set_idx: usize) -> &mut [Slot<S>] {
+        let ways = self.config.associativity;
+        &mut self.slots[set_idx * ways..(set_idx + 1) * ways]
+    }
+
+    /// The slot holding the line containing `addr`.
+    fn slot(&self, addr: u64) -> Option<&Slot<S>> {
+        let (tag, set_idx, _) = self.map.split(addr);
+        self.set(set_idx).iter().find(|slot| slot.holds(tag))
+    }
+
     /// Looks a line up without touching replacement state.
     #[must_use]
     pub fn lookup(&self, addr: u64) -> Option<&Entry<S>> {
-        let (tag, set, _) = self.map.split(addr);
-        let set = &self.sets[set];
-        set.way_of(tag).and_then(|w| set.ways[w].as_ref())
+        self.slot(addr)?.entry.as_ref()
     }
 
     /// Mutable lookup (data writes); does not touch replacement state.
     pub fn lookup_mut(&mut self, addr: u64) -> Option<&mut Entry<S>> {
         let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        set.ways[way].as_mut()
+        let slot = self
+            .set_mut(set_idx)
+            .iter_mut()
+            .find(|slot| slot.holds(tag))?;
+        slot.entry.as_mut()
     }
 
     /// Marks the line most-recently-used (a hit, for LRU; FIFO and random
@@ -136,32 +173,17 @@ impl<S> CacheArray<S> {
             return;
         }
         let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.way_of(tag) {
-            Self::make_mru(set, way);
+        let set = self.set_mut(set_idx);
+        if let Some(way) = way_of(set, tag) {
+            make_mru(set, way);
         }
-    }
-
-    /// Moves `way` to the front of the set's recency order unless it is
-    /// already there (the common case in access streaks).
-    fn make_mru(set: &mut CacheSet<S>, way: usize) {
-        if set.order.first() == Some(&way) {
-            return;
-        }
-        if let Some(pos) = set.order.iter().position(|&w| w == way) {
-            set.order.remove(pos);
-        }
-        set.order.insert(0, way);
     }
 
     /// The line's recency rank in its set: 0 = most recent, `ways-1` =
     /// next victim. `None` when not resident.
     #[must_use]
     pub fn recency_rank(&self, addr: u64) -> Option<u32> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        set.order.iter().position(|&w| w == way).map(|p| p as u32)
+        self.slot(addr).map(|slot| slot.rank)
     }
 
     /// Fills (or overwrites) a line, evicting a victim if the set is full.
@@ -176,83 +198,76 @@ impl<S> CacheArray<S> {
             "fill must provide a full line"
         );
         let (tag, set_idx, _) = self.map.split(addr);
+        let lru = self.config.replacement == ReplacementKind::Lru;
+        let entry = Some(Entry { tag, state, data });
         // Already resident: overwrite in place.
-        if let Some(way) = self.sets[set_idx].way_of(tag) {
-            self.sets[set_idx].ways[way] = Some(Entry { tag, state, data });
-            self.promote(set_idx, way);
+        let set = self.set_mut(set_idx);
+        if let Some(way) = way_of(set, tag) {
+            set[way].entry = entry;
+            if lru {
+                make_mru(set, way);
+            }
             return None;
         }
-        // Free way available?
-        if let Some(way) = self.sets[set_idx].ways.iter().position(Option::is_none) {
-            self.sets[set_idx].ways[way] = Some(Entry { tag, state, data });
-            self.sets[set_idx].order.insert(0, way);
+        // Free way available? The newcomer goes to the front.
+        if let Some(way) = set.iter().position(|slot| slot.entry.is_none()) {
+            for slot in set.iter_mut().filter(|slot| slot.entry.is_some()) {
+                slot.rank += 1;
+            }
+            set[way] = Slot { rank: 0, entry };
             self.resident += 1;
             return None;
         }
-        // Evict per policy.
+        // Evict per policy; the refilled way goes to the front.
         let way = self.pick_victim(set_idx);
-        let old = self.sets[set_idx].ways[way]
-            .take()
-            .expect("victim way must be occupied");
-        let victim = Victim {
+        let set = self.set_mut(set_idx);
+        let old = std::mem::replace(&mut set[way].entry, entry).expect("full set");
+        make_mru(set, way);
+        Some(Victim {
             addr: self.map.reassemble(old.tag, set_idx),
             state: old.state,
             data: old.data,
-        };
-        self.sets[set_idx].ways[way] = Some(Entry { tag, state, data });
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.order.iter().position(|&w| w == way) {
-            set.order.remove(pos);
-        }
-        set.order.insert(0, way);
-        Some(victim)
+        })
     }
 
     /// Removes a line, returning it.
     pub fn invalidate(&mut self, addr: u64) -> Option<Entry<S>> {
         let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        if let Some(pos) = set.order.iter().position(|&w| w == way) {
-            set.order.remove(pos);
+        let set = self.set_mut(set_idx);
+        let way = way_of(set, tag)?;
+        let entry = set[way].entry.take();
+        let rank = set[way].rank;
+        for slot in set.iter_mut() {
+            if slot.entry.is_some() && slot.rank > rank {
+                slot.rank -= 1;
+            }
         }
         self.resident -= 1;
-        set.ways[way].take()
+        entry
     }
 
     /// Iterates over resident lines as `(line_addr, &entry)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Entry<S>)> + '_ {
-        self.sets
-            .iter()
-            .enumerate()
-            .flat_map(move |(set_idx, set)| {
-                set.ways.iter().filter_map(move |w| {
-                    w.as_ref().map(|e| (self.map.reassemble(e.tag, set_idx), e))
-                })
-            })
+        let ways = self.config.associativity;
+        self.slots.iter().enumerate().filter_map(move |(i, slot)| {
+            let e = slot.entry.as_ref()?;
+            Some((self.map.reassemble(e.tag, i / ways), e))
+        })
     }
 
-    fn promote(&mut self, set_idx: usize, way: usize) {
-        if self.config.replacement != ReplacementKind::Lru {
-            return;
-        }
-        Self::make_mru(&mut self.sets[set_idx], way);
-    }
-
+    /// The way to evict from a full set.
     fn pick_victim(&mut self, set_idx: usize) -> usize {
-        let set = &self.sets[set_idx];
+        let ways = self.config.associativity;
         match self.config.replacement {
-            // LRU: the back of the order is least recent. FIFO: the back is
-            // the oldest insertion (hits never reorder).
-            ReplacementKind::Lru | ReplacementKind::Fifo => {
-                *set.order.last().expect("full set has order entries")
-            }
-            ReplacementKind::Random => {
-                let occupied: Vec<usize> = (0..set.ways.len())
-                    .filter(|&w| set.ways[w].is_some())
-                    .collect();
-                occupied[self.rng.gen_range(0..occupied.len())]
-            }
+            // LRU: the highest rank is least recent. FIFO: it is the oldest
+            // insertion (hits never reorder).
+            ReplacementKind::Lru | ReplacementKind::Fifo => self
+                .set(set_idx)
+                .iter()
+                .position(|slot| slot.rank as usize == ways - 1)
+                .expect("a full set ranks its ways 0..ways"),
+            // Every way of a full set is occupied.
+            ReplacementKind::Random => self.rng.gen_range(0..ways),
         }
     }
 }
@@ -281,11 +296,12 @@ impl<S: Copy> CacheArray<S> {
     /// dataless read-hit path.
     pub fn touch_state(&mut self, addr: u64) -> Option<S> {
         let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        let state = set.ways[way].as_ref()?.state;
-        if self.config.replacement == ReplacementKind::Lru {
-            Self::make_mru(set, way);
+        let lru = self.config.replacement == ReplacementKind::Lru;
+        let set = self.set_mut(set_idx);
+        let way = way_of(set, tag)?;
+        let state = set[way].entry.as_ref()?.state;
+        if lru {
+            make_mru(set, way);
         }
         Some(state)
     }
@@ -294,12 +310,8 @@ impl<S: Copy> CacheArray<S> {
     /// protocol-consultation paths that need both.
     #[must_use]
     pub fn state_and_rank(&self, addr: u64) -> Option<(S, u32)> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        let state = set.ways[way].as_ref()?.state;
-        let rank = set.order.iter().position(|&w| w == way)? as u32;
-        Some((state, rank))
+        let slot = self.slot(addr)?;
+        Some((slot.entry.as_ref()?.state, slot.rank))
     }
 }
 
@@ -353,16 +365,18 @@ impl<S> CacheArray<S> {
             offset + bytes.len() <= self.config.line_size,
             "write crosses line boundary; split it first"
         );
-        let set = &mut self.sets[set_idx];
-        let Some(way) = set.way_of(tag) else {
+        let lru = self.config.replacement == ReplacementKind::Lru;
+        let set = self.set_mut(set_idx);
+        let Some(way) = way_of(set, tag) else {
             return false;
         };
-        let entry = set.ways[way]
+        let entry = set[way]
+            .entry
             .as_mut()
             .expect("way_of returns occupied ways");
         entry.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-        if self.config.replacement == ReplacementKind::Lru {
-            Self::make_mru(set, way);
+        if lru {
+            make_mru(set, way);
         }
         true
     }

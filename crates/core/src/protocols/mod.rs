@@ -1,4 +1,5 @@
-//! Concrete consistency protocols — every one a [`PolicyTable`] constructor.
+//! Concrete consistency protocols — every one a
+//! [`PolicyTable`](crate::policy::PolicyTable) constructor.
 //!
 //! * In-class (members of the Tables 1–2 compatible class, §3.3–3.4):
 //!   [`MoesiPreferred`], [`MoesiInvalidating`], [`PuzakRefinement`],
@@ -23,7 +24,7 @@
 //! [`PolicyTable`](crate::policy::PolicyTable) built once in the constructor
 //! and interpreted by [`TablePolicy`](crate::policy::TablePolicy). The public
 //! structs remain (they document provenance and carry variant constructors);
-//! [`delegate_to_table!`] generates their [`Protocol`](crate::Protocol) impls.
+//! `delegate_to_table!` generates their [`Protocol`](crate::Protocol) impls.
 //! Stateful selectors ([`RandomPolicy`], [`PuzakRefinement`], [`Scripted`],
 //! [`HybridUpdateInvalidate`]) layer a
 //! [`DynamicPolicy`](crate::policy::DynamicPolicy) hook over their base table.

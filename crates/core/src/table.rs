@@ -25,6 +25,7 @@ use crate::event::{BusEvent, LocalEvent};
 use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
+use std::sync::OnceLock;
 
 use BusEvent as BE;
 use LineState::{Exclusive as E, Invalid as I, Modified as M, Owned as O, Shareable as S};
@@ -288,10 +289,18 @@ pub fn permitted_bus(state: LineState, event: BusEvent) -> Vec<BusReaction> {
 }
 
 /// The preferred reaction (the first permitted entry), or `None` for error
-/// cells.
+/// cells. Read from a table built once from [`permitted_bus`], so a snooper
+/// consulting it on every bus transaction (a fabric-tree bridge) allocates
+/// nothing.
 #[must_use]
 pub fn preferred_bus(state: LineState, event: BusEvent) -> Option<BusReaction> {
-    permitted_bus(state, event).into_iter().next()
+    type Preferred = [[Option<BusReaction>; BusEvent::ALL.len()]; LineState::ALL.len()];
+    static PREFERRED: OnceLock<Preferred> = OnceLock::new();
+    // `ALL` lists both enums in declaration order, so a discriminant is its
+    // row or column.
+    PREFERRED.get_or_init(|| {
+        LineState::ALL.map(|s| BusEvent::ALL.map(|e| permitted_bus(s, e).into_iter().next()))
+    })[state as usize][event as usize]
 }
 
 /// Iterates every Table 1 cell for one cache kind: `(state, event,
@@ -395,6 +404,19 @@ pub fn render_table2() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preferred_bus_is_the_first_permitted_reaction_of_every_cell() {
+        for state in LineState::ALL {
+            for event in BusEvent::ALL {
+                assert_eq!(
+                    preferred_bus(state, event),
+                    permitted_bus(state, event).first().copied(),
+                    "({state}, {event})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn table1_preferred_entries_match_paper() {

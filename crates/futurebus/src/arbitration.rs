@@ -123,16 +123,24 @@ impl Arbiter for RoundRobinArbiter {
     }
 
     fn slots_to_grant(&mut self, master: usize, modules: usize, retired: &BTreeSet<usize>) -> u32 {
-        // Spin the token until it lands on the master, one slot per grant.
-        let live = contenders(master, modules, retired);
-        let mut slots = 0u32;
-        for _ in live.clone() {
-            slots += 1;
-            if self.grant_among(live.clone()) == Some(master) {
-                break;
+        // The token serves every contender strictly between the last winner
+        // and the master, in circular order, one slot each; then the
+        // master's own slot. With no winner yet the token starts before
+        // module 0; a master that just won waits a full rotation.
+        let between = |c: usize| {
+            if self.last == usize::MAX {
+                c < master
+            } else if master > self.last {
+                c > self.last && c < master
+            } else {
+                c > self.last || c < master
             }
-        }
-        slots
+        };
+        let ahead = contenders(master, modules, retired)
+            .filter(|&c| between(c))
+            .count();
+        self.last = master;
+        ahead as u32 + 1
     }
 }
 
@@ -142,25 +150,29 @@ impl Arbiter for RoundRobinArbiter {
 /// Arrival is modelled at the granularity the simulator sees: every live
 /// module not already queued joins the tail (in index order) when a new
 /// transaction arbitrates, and serving the master also serves everyone ahead
-/// of it — one slot each — so the master's delay is its queue depth.
+/// of it — one slot each — so the master's delay is its queue depth. A
+/// membership bitmap beside the queue answers "already queued?" in O(1).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FcfsArbiter {
     queue: VecDeque<usize>,
+    queued: Vec<bool>,
 }
 
 impl FcfsArbiter {
     /// Creates the arbiter with an empty request queue.
     #[must_use]
     pub fn new() -> Self {
-        FcfsArbiter {
-            queue: VecDeque::new(),
-        }
+        FcfsArbiter::default()
     }
 
     fn admit(&mut self, candidates: impl Iterator<Item = usize>) {
         let arrived = self.queue.len();
         for m in candidates {
-            if !self.queue.contains(&m) {
+            if m >= self.queued.len() {
+                self.queued.resize(m + 1, false);
+            }
+            if !self.queued[m] {
+                self.queued[m] = true;
                 self.queue.push_back(m);
             }
         }
@@ -177,12 +189,9 @@ impl Arbiter for FcfsArbiter {
         }
         self.admit(requesters.iter().copied());
         // The queued requester closest to the head wins.
-        let winner = self
-            .queue
-            .iter()
-            .copied()
-            .find(|m| requesters.contains(m))?;
-        self.queue.retain(|&m| m != winner);
+        let pos = self.queue.iter().position(|m| requesters.contains(m))?;
+        let winner = self.queue.remove(pos)?;
+        self.queued[winner] = false;
         Some(winner)
     }
 
@@ -196,7 +205,9 @@ impl Arbiter for FcfsArbiter {
             .expect("master enqueued above");
         // Everyone ahead of the master is served first, one slot each; then
         // the master's own grant slot.
-        self.queue.drain(..=pos);
+        for m in self.queue.drain(..=pos) {
+            self.queued[m] = false;
+        }
         pos as u32 + 1
     }
 }

@@ -1,9 +1,9 @@
 //! The Futurebus transaction engine.
 //!
-//! [`Futurebus::execute`] runs one transaction end-to-end by driving a
-//! [`TxnContext`](crate::phases) through the explicit phase pipeline of
-//! [`crate::phases`] — `Arbitrate → AddressBroadcast → SnoopResolve →
-//! AbortBackoff → DataTransfer → Commit`, mirroring the paper's staged
+//! [`Futurebus::execute`] runs one transaction end-to-end through the
+//! explicit phase pipeline of [`crate::phases`], one function per phase
+//! called in a straight line — `Arbitrate → AddressBroadcast → SnoopResolve
+//! → AbortBackoff → DataTransfer → Commit`, mirroring the paper's staged
 //! handshake: the broadcast address cycle (every attached module snoops,
 //! §2.1), wired-OR combination of the response lines, BS abort-push-restart
 //! for the adapted protocols, the data phase (memory, or an intervening
@@ -391,9 +391,9 @@ impl Futurebus {
     /// Runs one transaction. `modules` are all attached snooping units; the
     /// entry at `req.master` is skipped (a master does not snoop itself), so
     /// callers may pass their full module table. Indices in `req.master` and
-    /// [`DataSource::Intervention`] refer to this slice. Modules the watchdog
-    /// has retired are skipped too: a retired board neither snoops nor
-    /// completes.
+    /// [`DataSource::Intervention`](crate::DataSource::Intervention) refer
+    /// to this slice. Modules the watchdog has retired are skipped too: a
+    /// retired board neither snoops nor completes.
     ///
     /// # Errors
     ///

@@ -132,7 +132,8 @@ impl SparseMemory {
         self.lines.get(&self.align(addr)).map(|line| &line[..])
     }
 
-    /// Overwrites a full line (a push / write-back).
+    /// Overwrites a full line (a push / write-back), in place when the line
+    /// is already resident.
     ///
     /// # Panics
     ///
@@ -141,7 +142,12 @@ impl SparseMemory {
         assert!(self.is_aligned(addr), "unaligned line write at {addr:#x}");
         assert_eq!(data.len(), self.line_size, "line write must be full-size");
         self.writes += 1;
-        self.lines.insert(addr, data.into());
+        match self.lines.get_mut(&addr) {
+            Some(line) => line.copy_from_slice(data),
+            None => {
+                self.lines.insert(addr, data.into());
+            }
+        }
     }
 
     /// Writes part of a line (a word write from a write-through or

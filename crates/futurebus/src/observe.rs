@@ -245,9 +245,16 @@ impl LivenessMonitor {
 /// transaction contributes one sample per phase — the nanoseconds that
 /// phase charged it, zero included, so each phase's sample count equals the
 /// transaction count and phase distributions are directly comparable.
+///
+/// Most transactions leave most phases at zero, so only non-zero charges are
+/// recorded; [`PhaseHistograms::phase`] adds the zeros back into bucket 0
+/// from the transaction count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseHistograms {
-    phases: [LatencyHistogram; Phase::PIPELINE.len()],
+    /// The non-zero samples of each phase.
+    nonzero: [LatencyHistogram; Phase::PIPELINE.len()],
+    /// Transactions recorded.
+    txns: u64,
 }
 
 impl PhaseHistograms {
@@ -259,40 +266,48 @@ impl PhaseHistograms {
 
     /// Records one transaction's per-phase breakdown (one sample per phase).
     pub fn record_txn(&mut self, phase_ns: &[Nanos; Phase::PIPELINE.len()]) {
-        for (hist, ns) in self.phases.iter_mut().zip(phase_ns) {
-            hist.record(*ns);
+        self.txns += 1;
+        for (hist, &ns) in self.nonzero.iter_mut().zip(phase_ns) {
+            if ns != 0 {
+                hist.record(ns);
+            }
         }
     }
 
-    /// The histogram for `phase`.
+    /// The histogram for `phase`, one sample per transaction.
     #[must_use]
-    pub fn phase(&self, phase: Phase) -> &LatencyHistogram {
-        &self.phases[phase as usize]
+    pub fn phase(&self, phase: Phase) -> LatencyHistogram {
+        let mut hist = self.nonzero[phase as usize];
+        let zeros = self.txns - hist.samples;
+        hist.counts[0] += zeros;
+        hist.samples += zeros;
+        hist
     }
 
     /// Merges another set in (bucket-wise, commutative).
     pub fn merge(&mut self, other: &PhaseHistograms) {
-        for (a, b) in self.phases.iter_mut().zip(&other.phases) {
+        for (a, b) in self.nonzero.iter_mut().zip(&other.nonzero) {
             a.merge(b);
         }
+        self.txns += other.txns;
     }
 
     /// Per-phase medians, in [`Phase::PIPELINE`] order.
     #[must_use]
     pub fn p50s(&self) -> [Nanos; Phase::PIPELINE.len()] {
-        self.phases.map(|h| h.p50())
+        Phase::PIPELINE.map(|p| self.phase(p).p50())
     }
 
     /// Per-phase 99th percentiles, in [`Phase::PIPELINE`] order.
     #[must_use]
     pub fn p99s(&self) -> [Nanos; Phase::PIPELINE.len()] {
-        self.phases.map(|h| h.p99())
+        Phase::PIPELINE.map(|p| self.phase(p).p99())
     }
 
     /// Per-phase nanosecond totals, in [`Phase::PIPELINE`] order.
     #[must_use]
     pub fn sums(&self) -> [Nanos; Phase::PIPELINE.len()] {
-        self.phases.map(|h| h.sum_ns())
+        self.nonzero.map(|h| h.sum_ns())
     }
 }
 
@@ -463,6 +478,14 @@ mod tests {
         }
         assert_eq!(p.sums(), [10_000, 0, 25, 150, 900, 0]);
         assert_eq!(p.phase(Phase::DataTransfer).p50(), 511);
+        // The zeros left unrecorded come back in bucket 0: each phase reads
+        // exactly as if every sample had been recorded.
+        for phase in Phase::PIPELINE {
+            let mut direct = LatencyHistogram::new();
+            direct.record([0, 0, 25, 150, 450, 0][phase as usize]);
+            direct.record([10_000, 0, 0, 0, 450, 0][phase as usize]);
+            assert_eq!(p.phase(phase), direct, "{phase}");
+        }
     }
 
     #[test]

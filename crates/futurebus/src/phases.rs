@@ -4,9 +4,10 @@
 //! the broadcast address cycle with wired-OR snoop responses (Figures 1–2),
 //! the BS abort-and-push restart (§3.2.2), the data transfer, and the
 //! completion handshake in which every snooper commits its transition. The
-//! engine mirrors that structure literally — [`Futurebus::execute`] walks a
-//! [`TxnContext`] through the six [`Phase`]s in order, and every recovery
-//! concern from the fault model lives inside exactly one phase:
+//! engine mirrors that structure literally — [`Futurebus::execute`] calls
+//! one function per [`Phase`], in a straight line, on a per-transaction
+//! context, and every recovery concern from the fault model lives inside
+//! exactly one phase:
 //!
 //! * [`Phase::Arbitrate`] — bus acquisition; the watchdog times out a stalled
 //!   snooper *here*, before the address cycle it would otherwise wedge, and
@@ -26,9 +27,11 @@
 //!   commits its state transition; post-transaction soft errors land, the
 //!   stats and trace are sealed.
 //!
-//! A phase returns [`Step::Restart`] to re-enter arbitration (watchdog
-//! recovery, BS abort) and [`Step::Advance`] to proceed; errors abort the
-//! pipeline with the bus time burned still accounted by the caller.
+//! The only loop is the §3.2.2 restart: arbitration (after a watchdog
+//! retirement) and abort-backoff (after a BS abort or a storm round) may
+//! send the transaction back to arbitration; once an address cycle goes
+//! through, the data transfer and the commit run once each. Errors abort
+//! the pipeline with the bus time burned still accounted by the caller.
 
 use crate::bus::Futurebus;
 use crate::fault::{InjectedFault, TxnFaults};
@@ -59,7 +62,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The pipeline, in execution order.
+    /// The pipeline, in execution order; a phase's position here is its
+    /// index into every per-phase array (`phase as usize`).
     pub const PIPELINE: [Phase; 6] = [
         Phase::Arbitrate,
         Phase::AddressBroadcast,
@@ -68,19 +72,6 @@ impl Phase {
         Phase::DataTransfer,
         Phase::Commit,
     ];
-
-    /// The phase after this one (`None` after [`Phase::Commit`]).
-    #[must_use]
-    pub fn next(self) -> Option<Phase> {
-        match self {
-            Phase::Arbitrate => Some(Phase::AddressBroadcast),
-            Phase::AddressBroadcast => Some(Phase::SnoopResolve),
-            Phase::SnoopResolve => Some(Phase::AbortBackoff),
-            Phase::AbortBackoff => Some(Phase::DataTransfer),
-            Phase::DataTransfer => Some(Phase::Commit),
-            Phase::Commit => None,
-        }
-    }
 }
 
 impl fmt::Display for Phase {
@@ -96,9 +87,9 @@ impl fmt::Display for Phase {
     }
 }
 
-/// What a phase tells the pipeline driver to do next.
+/// What arbitration and abort-backoff tell the pipeline driver to do next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Step {
+enum Step {
     /// Proceed to the next phase in [`Phase::PIPELINE`] order.
     Advance,
     /// Re-enter arbitration (watchdog recovery, BS abort, storm round).
@@ -112,7 +103,7 @@ pub(crate) enum Step {
 #[derive(Debug)]
 pub(crate) struct TxnContext<'r> {
     /// The request being executed.
-    pub(crate) req: &'r TransactionRequest,
+    pub(crate) req: &'r TransactionRequest<'r>,
     /// The system line size, cached off the bus memory.
     pub(crate) line_size: usize,
     /// Bus time consumed so far (sealed into stats at commit, and accounted
@@ -146,7 +137,11 @@ pub(crate) struct TxnContext<'r> {
 
 impl<'r> TxnContext<'r> {
     /// Starts a context for `req` with the fault decisions already rolled.
-    pub(crate) fn new(req: &'r TransactionRequest, line_size: usize, faults: TxnFaults) -> Self {
+    pub(crate) fn new(
+        req: &'r TransactionRequest<'r>,
+        line_size: usize,
+        faults: TxnFaults,
+    ) -> Self {
         TxnContext {
             req,
             line_size,
@@ -186,8 +181,10 @@ impl<'r> TxnContext<'r> {
 }
 
 impl Futurebus {
-    /// Drives `ctx` through the pipeline until [`Phase::Commit`] completes.
-    /// The caller accounts `ctx.duration` into the stats on error.
+    /// Drives `ctx` through the pipeline until [`Phase::Commit`] completes:
+    /// arbitrate, address, resolve and abort/backoff until an address cycle
+    /// goes through without a restart, then the data transfer and the
+    /// commit. The caller accounts `ctx.duration` into the stats on error.
     ///
     /// Generic over the module type: callers holding a concrete component
     /// array (`&mut [CacheController]`) get a statically dispatched pipeline
@@ -199,32 +196,19 @@ impl Futurebus {
         ctx: &mut TxnContext<'_>,
         modules: &mut [M],
     ) -> Result<(), BusError> {
-        let mut phase = Phase::Arbitrate;
         loop {
-            match self.run_phase(phase, ctx, modules)? {
-                Step::Restart => phase = Phase::Arbitrate,
-                Step::Advance => match phase.next() {
-                    Some(next) => phase = next,
-                    None => return Ok(()),
-                },
+            if self.arbitrate(ctx, modules) == Step::Restart {
+                continue;
+            }
+            self.address_broadcast(ctx, modules);
+            self.snoop_resolve(ctx);
+            if self.abort_backoff(ctx, modules)? == Step::Advance {
+                break;
             }
         }
-    }
-
-    fn run_phase<M: BusModule>(
-        &mut self,
-        phase: Phase,
-        ctx: &mut TxnContext<'_>,
-        modules: &mut [M],
-    ) -> Result<Step, BusError> {
-        match phase {
-            Phase::Arbitrate => Ok(self.arbitrate(ctx, modules)),
-            Phase::AddressBroadcast => Ok(self.address_broadcast(ctx, modules)),
-            Phase::SnoopResolve => Ok(self.snoop_resolve(ctx)),
-            Phase::AbortBackoff => self.abort_backoff(ctx, modules),
-            Phase::DataTransfer => self.data_transfer(ctx, modules),
-            Phase::Commit => Ok(self.commit(ctx, modules)),
-        }
+        self.data_transfer(ctx, modules)?;
+        self.commit(ctx, modules);
+        Ok(())
     }
 
     /// Bus acquisition. A stalled snooper never completes the connection
@@ -252,11 +236,7 @@ impl Futurebus {
 
     /// Broadcast address cycle: every other live module snoops the request
     /// and drives its response lines.
-    fn address_broadcast<M: BusModule>(
-        &mut self,
-        ctx: &mut TxnContext<'_>,
-        modules: &mut [M],
-    ) -> Step {
+    fn address_broadcast<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) {
         ctx.replies.clear();
         ctx.combined = ResponseSignals::NONE;
         for (idx, module) in modules.iter_mut().enumerate() {
@@ -267,13 +247,12 @@ impl Futurebus {
             ctx.combined = ctx.combined.or(r);
             ctx.replies.push((idx, r));
         }
-        Step::Advance
     }
 
     /// Wired-OR settle: an injected consistency-line glitch bounces before
     /// the settle window and the inertial-delay filter absorbs it (§2.2) at
     /// the cost of one settle delay. The *true* values proceed.
-    fn snoop_resolve(&mut self, ctx: &mut TxnContext<'_>) -> Step {
+    fn snoop_resolve(&mut self, ctx: &mut TxnContext<'_>) {
         if ctx.faults.glitch {
             ctx.faults.glitch = false;
             if let Some(plan) = self.faults.as_mut() {
@@ -297,7 +276,6 @@ impl Futurebus {
                 plan.record(ctx.req.master, ctx.req.addr, fault, settle);
             }
         }
-        Step::Advance
     }
 
     /// BS: abort, push, restart (§3.2.2) — plus injected abort storms,
@@ -425,7 +403,7 @@ impl Futurebus {
         &mut self,
         ctx: &mut TxnContext<'_>,
         modules: &mut [M],
-    ) -> Result<Step, BusError> {
+    ) -> Result<(), BusError> {
         let mut di_count = 0usize;
         let mut first_di = None;
         for (idx, r) in &ctx.replies {
@@ -523,16 +501,16 @@ impl Futurebus {
         if broadcast {
             self.stats.broadcasts += 1;
         }
-        Ok(Step::Advance)
+        Ok(())
     }
 
     /// Completion handshake: every snooper commits its state transition with
     /// the resolved CH observation (and the write payload, when SL- or
     /// DI-connected). Post-transaction soft errors land here, then the stats
     /// and trace are sealed.
-    fn commit<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) -> Step {
+    fn commit<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) {
         let payload: Option<(usize, &[u8])> = match &ctx.req.kind {
-            TransactionKind::Write { offset, bytes } => Some((*offset, bytes.as_slice())),
+            TransactionKind::Write { offset, bytes } => Some((*offset, &bytes[..])),
             _ => None,
         };
         let broadcast = ctx.req.signals.bc;
@@ -597,7 +575,6 @@ impl Futurebus {
             aborts: ctx.aborts,
             ..TraceRecord::for_txn(ctx, kind)
         });
-        Step::Advance
     }
 
     /// Times out and retires a non-responding snooper: salvages its dirty
@@ -701,12 +678,13 @@ mod tests {
 
     #[test]
     fn pipeline_order_is_the_paper_handshake() {
-        let mut walked = vec![Phase::PIPELINE[0]];
-        while let Some(next) = walked.last().unwrap().next() {
-            walked.push(next);
+        // Every per-phase array is indexed by `phase as usize`, so the
+        // pipeline order must be the declaration order.
+        for (i, phase) in Phase::PIPELINE.into_iter().enumerate() {
+            assert_eq!(phase as usize, i, "{phase}");
         }
-        assert_eq!(walked, Phase::PIPELINE);
-        assert_eq!(Phase::Commit.next(), None);
+        assert_eq!(Phase::PIPELINE[0], Phase::Arbitrate);
+        assert_eq!(Phase::PIPELINE[5], Phase::Commit);
     }
 
     #[test]

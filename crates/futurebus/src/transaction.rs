@@ -2,14 +2,17 @@
 
 use crate::timing::Nanos;
 use moesi::{MasterSignals, ResponseSignals};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A line-aligned byte address on the shared bus.
 pub type LineAddr = u64;
 
-/// What a transaction does in its data phase.
+/// What a transaction does in its data phase. A write borrows its payload
+/// for `'a` (or owns it, for callers that built a `Vec`), so issuing one
+/// copies no bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TransactionKind {
+pub enum TransactionKind<'a> {
     /// Read a full line (the `R` action of the tables). The master receives
     /// the line from memory or from an intervening owner.
     Read,
@@ -20,13 +23,13 @@ pub enum TransactionKind {
         /// Byte offset of the payload within the line.
         offset: usize,
         /// The bytes written.
-        bytes: Vec<u8>,
+        bytes: Cow<'a, [u8]>,
     },
     /// No data phase: the "address only invalidate signal" of table note 6.
     AddressOnly,
 }
 
-impl TransactionKind {
+impl TransactionKind<'_> {
     /// Payload size in bytes (zero for reads and address-only transactions —
     /// for reads the *response* carries the line, accounted separately).
     #[must_use]
@@ -38,7 +41,7 @@ impl TransactionKind {
     }
 }
 
-impl fmt::Display for TransactionKind {
+impl fmt::Display for TransactionKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransactionKind::Read => f.write_str("read"),
@@ -52,7 +55,7 @@ impl fmt::Display for TransactionKind {
 
 /// A transaction as presented on the bus during the broadcast address cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransactionRequest {
+pub struct TransactionRequest<'a> {
     /// Index of the issuing module in the module slice passed to
     /// [`Futurebus::execute`](crate::Futurebus::execute). The master does not
     /// snoop its own transaction.
@@ -60,12 +63,12 @@ pub struct TransactionRequest {
     /// The line-aligned address.
     pub addr: LineAddr,
     /// The data-phase operation.
-    pub kind: TransactionKind,
+    pub kind: TransactionKind<'a>,
     /// The consistency signals the master drives (CA, IM, BC).
     pub signals: MasterSignals,
 }
 
-impl TransactionRequest {
+impl<'a> TransactionRequest<'a> {
     /// A read transaction.
     #[must_use]
     pub fn read(master: usize, addr: LineAddr, signals: MasterSignals) -> Self {
@@ -77,19 +80,23 @@ impl TransactionRequest {
         }
     }
 
-    /// A write transaction carrying `bytes` at `offset` within the line.
+    /// A write transaction carrying `bytes` at `offset` within the line:
+    /// a borrowed slice (copied nowhere) or an owned `Vec`.
     #[must_use]
     pub fn write(
         master: usize,
         addr: LineAddr,
         signals: MasterSignals,
         offset: usize,
-        bytes: Vec<u8>,
+        bytes: impl Into<Cow<'a, [u8]>>,
     ) -> Self {
         TransactionRequest {
             master,
             addr,
-            kind: TransactionKind::Write { offset, bytes },
+            kind: TransactionKind::Write {
+                offset,
+                bytes: bytes.into(),
+            },
             signals,
         }
     }
@@ -106,7 +113,7 @@ impl TransactionRequest {
     }
 }
 
-impl fmt::Display for TransactionRequest {
+impl fmt::Display for TransactionRequest<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

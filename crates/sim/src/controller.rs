@@ -411,7 +411,7 @@ mod tests {
         CacheController::new(id, Box::new(MoesiPreferred::new()), Some(cfg()), 1)
     }
 
-    fn read_req(addr: u64) -> TransactionRequest {
+    fn read_req(addr: u64) -> TransactionRequest<'static> {
         TransactionRequest::read(9, addr, MasterSignals::CA)
     }
 

@@ -203,8 +203,7 @@ impl Fabric {
         let data = match &req.kind {
             TransactionKind::Read => Some(self.bus.memory().peek_line(line)),
             TransactionKind::Write { offset, bytes } => {
-                let bytes = bytes.clone();
-                self.bus.memory_mut().write_bytes(line, *offset, &bytes);
+                self.bus.memory_mut().write_bytes(line, *offset, bytes);
                 None
             }
             TransactionKind::AddressOnly => None,
@@ -327,7 +326,7 @@ impl Fabric {
         &mut self,
         line: u64,
         offset: usize,
-        bytes: Vec<u8>,
+        bytes: &[u8],
     ) -> TransactionOutcome {
         let req = TransactionRequest::write(
             self.external_master(),
@@ -441,8 +440,7 @@ impl Fabric {
             Err(e) => panic!("{e}"),
         };
         debug_assert_eq!(action.bus_op, BusOp::Write, "dirty victims must write back");
-        let req =
-            TransactionRequest::write(cpu, victim.addr, action.signals, 0, victim.data.into_vec());
+        let req = TransactionRequest::write(cpu, victim.addr, action.signals, 0, &victim.data[..]);
         self.run_txn(&req);
         self.controllers[cpu].stats_mut().write_backs += 1;
     }
@@ -473,8 +471,7 @@ impl Fabric {
             }
             // Write-through, broadcast update, or write-past.
             BusOp::Write => {
-                let req =
-                    TransactionRequest::write(cpu, line, action.signals, offset, bytes.to_vec());
+                let req = TransactionRequest::write(cpu, line, action.signals, offset, bytes);
                 let out = self.run_txn(&req);
                 let result = action.result.resolve(out.ch_seen);
                 if self.controllers[cpu].write_cached(addr, bytes) {
@@ -554,7 +551,7 @@ mod tests {
         let mut f = fabric(2);
         let _ = f.read(0, 0x100, 4);
         let _ = f.read(1, 0x100, 4);
-        f.external_broadcast_write(0x100, 0, vec![9; 4]);
+        f.external_broadcast_write(0x100, 0, &[9; 4]);
         assert_eq!(f.read(0, 0x100, 4), vec![9; 4]);
         assert_eq!(f.read(1, 0x100, 4), vec![9; 4]);
         assert_eq!(&f.bus().memory().peek_line(0x100)[..4], &[9; 4]);

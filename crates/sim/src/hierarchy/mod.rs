@@ -630,10 +630,13 @@ impl HierarchicalSystem {
 
     /// Collects forwarding errors captured inside bridges (interior-segment
     /// failures during snoop forwarding) into the system error log, in
-    /// pre-order.
+    /// pre-order. Only flagged subtrees are walked: a bridge is flagged
+    /// whenever it or a bridge below it logs a forward error, so an access
+    /// that logged none costs one look at each root child.
     fn hoist_forward_errors(&mut self) {
         fn walk(children: &mut [Bridge], out: &mut Vec<ParentError>) {
-            for b in children {
+            for b in children.iter_mut().filter(|b| b.errors_pending) {
+                b.errors_pending = false;
                 out.append(&mut b.forward_errors);
                 if let FabricNode::Interior(seg) = &mut b.node {
                     walk(&mut seg.children, out);
@@ -1869,6 +1872,75 @@ mod tests {
         assert!(
             fcfs > 0,
             "queue-position slots must charge the arbitrate phase"
+        );
+    }
+
+    #[test]
+    fn every_forward_error_is_hoisted_by_the_access_that_logged_it() {
+        use futurebus::fault::{FaultConfig, FaultPlan};
+        // Depth 4: 2 root subtrees, two interior levels each, 8 leaves.
+        let mut sys = TreeBuilder::uniform(32, 2, 4, 2, 1, |_, _| {
+            (
+                Box::new(MoesiPreferred::new()) as Box<dyn moesi::Protocol + Send>,
+                Some(cfg()),
+            )
+        })
+        .checking(true)
+        .build();
+        let paths = sys.leaf_paths();
+        for (leaf, path) in paths.iter().enumerate() {
+            sys.write_at(path, 0, 0x1000 + 32 * (leaf as u64 % 4), &[leaf as u8; 4]);
+        }
+        // Break only the deepest interior buses, so the failures are logged
+        // two bridges below the root, by forwards the level above delivers.
+        fn break_deepest(children: &mut [Bridge]) {
+            for b in children {
+                if let FabricNode::Interior(seg) = &mut b.node {
+                    if seg.children.iter().all(Bridge::is_leaf) {
+                        seg.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
+                            storm_rate: 1.0,
+                            max_storm_rounds: 32,
+                            ..FaultConfig::default()
+                        }));
+                    }
+                    break_deepest(&mut seg.children);
+                }
+            }
+        }
+        fn unhoisted(children: &[Bridge]) -> usize {
+            children
+                .iter()
+                .map(|b| {
+                    b.forward_errors.len()
+                        + match &b.node {
+                            FabricNode::Interior(seg) => unhoisted(&seg.children),
+                            FabricNode::Leaf(_) => 0,
+                        }
+                })
+                .sum()
+        }
+        break_deepest(&mut sys.root.children);
+        sys.tolerate_faults(true);
+        for round in 0..6u64 {
+            for (leaf, path) in paths.iter().enumerate() {
+                let addr = 0x1000 + 32 * ((round + leaf as u64) % 4);
+                if (round + leaf as u64).is_multiple_of(2) {
+                    sys.write_at(path, 0, addr, &[round as u8; 4]);
+                } else {
+                    let _ = sys.read_at(path, 0, addr, 4);
+                }
+                assert_eq!(
+                    unhoisted(&sys.root.children),
+                    0,
+                    "round {round} leaf {leaf}"
+                );
+            }
+        }
+        assert!(
+            sys.parent_errors()
+                .iter()
+                .any(|e| e.txn == ParentTxnKind::Forward && e.depth == 2),
+            "forwards into the broken buses must have failed"
         );
     }
 }

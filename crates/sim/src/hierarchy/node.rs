@@ -28,7 +28,7 @@ pub(super) enum ParentNeed {
         for_write: bool,
     },
     /// Broadcast the written bytes at `offset` (a cluster-level shared
-    /// write). The bytes stay with the access; only the bus request copies
+    /// write). The bytes stay with the access; the bus request borrows
     /// them.
     Broadcast { offset: usize },
 }
@@ -126,6 +126,12 @@ impl Segment {
         self.children.len()
     }
 
+    /// Whether some child bridge holds (or has below it) forward errors not
+    /// yet hoisted into the system log.
+    pub(super) fn errors_pending(&self) -> bool {
+        self.children.iter().any(|c| c.errors_pending)
+    }
+
     /// Executes `req` on this segment's bus with every child snooping. The
     /// bridges are passed as a flat component array, so the pipeline is
     /// statically dispatched, as for a leaf fabric's controllers.
@@ -156,13 +162,9 @@ impl Segment {
         let payload = write.map_or(&[][..], |(_, bytes)| bytes);
         let req = match need {
             ParentNeed::Fetch { signals, .. } => TransactionRequest::read(child, line, signals),
-            ParentNeed::Broadcast { offset } => TransactionRequest::write(
-                child,
-                line,
-                MasterSignals::CA_IM_BC,
-                offset,
-                payload.to_vec(),
-            ),
+            ParentNeed::Broadcast { offset } => {
+                TransactionRequest::write(child, line, MasterSignals::CA_IM_BC, offset, payload)
+            }
         };
         let out = match self.execute_on_children(&req) {
             Ok(out) => out,
@@ -256,8 +258,7 @@ impl Segment {
         errors: &mut Vec<ParentError>,
     ) {
         self.children[child].stats.degraded_accesses += 1;
-        let req =
-            TransactionRequest::write(child, line, MasterSignals::IM_BC, offset, bytes.to_vec());
+        let req = TransactionRequest::write(child, line, MasterSignals::IM_BC, offset, bytes);
         if let Err(e) = self.execute_on_children(&req) {
             errors.push(ParentError {
                 cluster: child,
@@ -317,6 +318,9 @@ impl Segment {
             FabricNode::Interior(seg) => {
                 assert!(path.len() > 1, "access path stops at an interior segment");
                 seg.access_piece(&path[1..], cpu, piece_addr, line, piece, depth + 1, errors);
+                if seg.errors_pending() {
+                    self.children[child].errors_pending = true;
+                }
             }
         }
     }
@@ -342,8 +346,7 @@ impl Segment {
                 // Then the bridge passes the line on this segment's bus: a
                 // full-line write-back with CA (the subtree keeps its copy).
                 let data = self.children[child].authoritative_line(line);
-                let req =
-                    TransactionRequest::write(child, line, MasterSignals::CA, 0, data.to_vec());
+                let req = TransactionRequest::write(child, line, MasterSignals::CA, 0, &data[..]);
                 let ch_seen = match self.execute_on_children(&req) {
                     Ok(out) => out.ch_seen,
                     Err(e) => {
@@ -393,6 +396,10 @@ pub struct Bridge {
     pub(super) degraded: bool,
     pub(super) filter: bool,
     pub(super) forward_errors: Vec<ParentError>,
+    /// Set when `forward_errors` of this bridge or of a bridge below it
+    /// holds errors not yet hoisted, so the hoist walks only flagged
+    /// subtrees.
+    pub(super) errors_pending: bool,
 }
 
 impl Bridge {
@@ -407,6 +414,7 @@ impl Bridge {
             degraded: false,
             filter: true,
             forward_errors: Vec::new(),
+            errors_pending: false,
         }
     }
 
@@ -691,6 +699,7 @@ impl Bridge {
             error,
             depth: self.level + 1,
         });
+        self.errors_pending = true;
     }
 
     /// Forwards a snooped read into the subtree, demoting internal copies
@@ -702,7 +711,9 @@ impl Bridge {
             }
             FabricNode::Interior(seg) => {
                 let req = TransactionRequest::read(seg.external_master(), line, MasterSignals::CA);
-                if let Err(e) = seg.execute_on_children(&req) {
+                let result = seg.execute_on_children(&req);
+                self.errors_pending |= seg.errors_pending();
+                if let Err(e) = result {
                     self.push_forward_error(ParentTxnKind::Forward, e);
                 }
             }
@@ -721,7 +732,9 @@ impl Bridge {
                     line,
                     MasterSignals::CA_IM,
                 );
-                if let Err(e) = seg.execute_on_children(&req) {
+                let result = seg.execute_on_children(&req);
+                self.errors_pending |= seg.errors_pending();
+                if let Err(e) = result {
                     self.push_forward_error(ParentTxnKind::Forward, e);
                 }
             }
@@ -735,7 +748,7 @@ impl Bridge {
     fn forward_broadcast(&mut self, line: LineAddr, offset: usize, bytes: &[u8]) {
         match &mut self.node {
             FabricNode::Leaf(fabric) => {
-                let _ = fabric.external_broadcast_write(line, offset, bytes.to_vec());
+                let _ = fabric.external_broadcast_write(line, offset, bytes);
             }
             FabricNode::Interior(seg) => {
                 let req = TransactionRequest::write(
@@ -743,9 +756,11 @@ impl Bridge {
                     line,
                     MasterSignals::IM_BC,
                     offset,
-                    bytes.to_vec(),
+                    bytes,
                 );
-                if let Err(e) = seg.execute_on_children(&req) {
+                let result = seg.execute_on_children(&req);
+                self.errors_pending |= seg.errors_pending();
+                if let Err(e) = result {
                     seg.bus.memory_mut().write_bytes(line, offset, bytes);
                     self.push_forward_error(ParentTxnKind::Forward, e);
                 }
@@ -773,8 +788,7 @@ impl Bridge {
                 if let Some(idx) = owner {
                     seg.children[idx].sync_subtree(line);
                     let data = seg.children[idx].authoritative_line(line);
-                    let req =
-                        TransactionRequest::write(idx, line, MasterSignals::CA, 0, data.to_vec());
+                    let req = TransactionRequest::write(idx, line, MasterSignals::CA, 0, &data[..]);
                     let ch_seen = match seg.execute_on_children(&req) {
                         Ok(out) => out.ch_seen,
                         Err(e) => {
@@ -786,9 +800,11 @@ impl Bridge {
                                 error: e,
                                 depth: self.level + 1,
                             });
+                            self.errors_pending = true;
                             true
                         }
                     };
+                    self.errors_pending |= seg.errors_pending();
                     let ext = if ch_seen {
                         LineState::Shareable
                     } else {

@@ -6,7 +6,7 @@
 //! schedule of processor operations together with the Table 1/2 entry every
 //! module chose at every decision point. [`replay`] rebuilds the concrete
 //! machine — real [`CacheController`]s on a real `Futurebus` — with every
-//! module driven by a [`Scripted`](moesi::protocols::Scripted) policy fed
+//! module driven by a [`moesi::protocols::Scripted`] policy fed
 //! from the trace, executes the schedule step by step, and audits each step
 //! with the [`Checker`]. A genuine counterexample reproduces the violation at
 //! the same step, deterministically, every time.

@@ -4,6 +4,7 @@
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::{TimingConfig, BROADCAST_PENALTY_NS};
 use moesi::protocols::{MoesiInvalidating, MoesiPreferred, NonCaching, WriteThrough};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -90,6 +91,32 @@ fn non_broadcast_uncached_write_with_owner_is_captured() {
     assert_eq!(sys.bus_stats().captures, 1);
     assert_eq!(sys.bus_stats().memory_writes, mem_w);
     assert_eq!(sys.read(1, 0x100, 4), vec![6; 4]);
+}
+
+#[test]
+fn a_write_captured_in_a_leaf_cluster_reaches_other_clusters() {
+    // Leaf 0: an owning cache and a non-caching processor; leaf 1: a cache.
+    let mut sys = TreeBuilder::new(LINE)
+        .checking(true)
+        .child(
+            TreeSpec::leaf()
+                .cache(Box::new(MoesiPreferred::new()), cfg())
+                .uncached(Box::new(NonCaching::new())),
+        )
+        .child(TreeSpec::leaf().cache(Box::new(MoesiPreferred::new()), cfg()))
+        .build();
+    sys.write(0, 0, 0x100, &[5; 4]); // leaf 0's cache owns the line (M)
+    let mem_w = sys.leaf_fabric(0).bus().stats().memory_writes;
+    // The uncached write needs no parent traffic (the cluster holds the
+    // line M), and on the leaf bus the owner captures it: memory, here the
+    // cluster's mirror, is preempted.
+    sys.write(0, 1, 0x100, &[6; 4]);
+    let leaf_bus = sys.leaf_fabric(0).bus().stats();
+    assert!(leaf_bus.captures >= 1, "{leaf_bus:?}");
+    assert_eq!(leaf_bus.memory_writes, mem_w);
+    // Another cluster's read is served from the owner's captured copy; the
+    // oracle compares it with the golden image.
+    assert_eq!(sys.read(1, 0, 0x100, 4), vec![6; 4]);
 }
 
 #[test]

@@ -66,8 +66,14 @@ fn random_op(rng: &mut SmallRng, cpus: usize, lines: u64) -> Op {
     }
 }
 
+/// The address of scripted line `line`: the lines lie one cache-size
+/// stride apart, so they all fall in one set of [`cfg`]'s 2-way caches and
+/// every third distinct line a cache touches evicts one.
+fn line_addr(line: u64) -> u64 {
+    0x1000 + line * (cfg().sets() * LINE) as u64
+}
+
 fn apply(sys: &mut System, op: &Op) {
-    let base = 0x1000;
     match *op {
         Op::Read {
             cpu,
@@ -75,7 +81,7 @@ fn apply(sys: &mut System, op: &Op) {
             offset,
             len,
         } => {
-            let _ = sys.read(cpu, base + line * LINE as u64 + offset, len);
+            let _ = sys.read(cpu, line_addr(line) + offset, len);
         }
         Op::Write {
             cpu,
@@ -84,13 +90,13 @@ fn apply(sys: &mut System, op: &Op) {
             val,
             len,
         } => {
-            sys.write(cpu, base + line * LINE as u64 + offset, &vec![val; len]);
+            sys.write(cpu, line_addr(line) + offset, &vec![val; len]);
         }
         Op::Flush { cpu, line } => {
-            sys.flush(cpu, base + line * LINE as u64);
+            sys.flush(cpu, line_addr(line));
         }
         Op::Pass { cpu, line } => {
-            sys.pass(cpu, base + line * LINE as u64);
+            sys.pass(cpu, line_addr(line));
         }
     }
 }
@@ -100,8 +106,9 @@ fn cfg() -> CacheConfig {
 }
 
 fn mixed_system(seed: u64) -> System {
-    // Small caches force evictions; the checker is on, so every operation is
-    // audited and reads are compared against the golden image.
+    // Small caches force evictions (see `line_addr`); the checker is on, so
+    // every operation is audited and reads are compared against the golden
+    // image.
     SystemBuilder::new(LINE)
         .checking(true)
         .seed(seed)
@@ -119,18 +126,32 @@ fn mixed_system(seed: u64) -> System {
         .build()
 }
 
+fn write_backs(sys: &System) -> u64 {
+    (0..sys.nodes()).map(|cpu| sys.stats(cpu).write_backs).sum()
+}
+
 #[test]
 fn random_op_sequences_preserve_consistency() {
+    // Write-backs during a read or a write can only be dirty victims.
+    let mut victim_write_backs = 0;
     for case in 0..24u64 {
         let mut rng = SmallRng::seed_from_u64(case.wrapping_mul(0x9E37_79B9));
         let mut sys = mixed_system(rng.next_u64() % 1000);
         let steps = rng.gen_range(1usize..120);
         for _ in 0..steps {
             let op = random_op(&mut rng, 8, 6);
+            let before = write_backs(&sys);
             apply(&mut sys, &op); // panics (fails the test) on any violation
+            if matches!(op, Op::Read { .. } | Op::Write { .. }) {
+                victim_write_backs += write_backs(&sys) - before;
+            }
         }
         assert!(sys.verify().is_ok());
     }
+    assert!(
+        victim_write_backs >= 24,
+        "only {victim_write_backs} dirty victims were written back"
+    );
 }
 
 #[test]
